@@ -10,19 +10,9 @@ import (
 	"repro/internal/timing"
 )
 
-func newEvaluator(t *testing.T, mode Mode, seed int64) *evaluator {
-	t.Helper()
-	des := bench.MustGenerate("n100")
-	cfg := Config{Mode: mode, GridN: 16, Seed: seed}
-	cfg.defaults()
-	fast := thermal.CalibrateFast(thermal.DefaultConfig(16, 16, des.OutlineW, des.OutlineH, des.Dies))
-	rng := rand.New(rand.NewSource(seed))
-	return &evaluator{fp: floorplan.NewRandom(des, rng), cfg: &cfg, fast: fast}
-}
-
 func TestCostPositiveAndFinite(t *testing.T) {
 	for _, mode := range []Mode{PowerAware, TSCAware} {
-		ev := newEvaluator(t, mode, 1)
+		ev := makeEval(t, mode, false, 1)
 		c := ev.Cost()
 		if c <= 0 || c != c /* NaN */ {
 			t.Fatalf("%v: cost %v", mode, c)
@@ -31,7 +21,7 @@ func TestCostPositiveAndFinite(t *testing.T) {
 }
 
 func TestCostStableForUnchangedState(t *testing.T) {
-	ev := newEvaluator(t, TSCAware, 2)
+	ev := makeEval(t, TSCAware, false, 2)
 	// Prime normalization and the voltage-assignment cache stride so both
 	// evaluations hit the same cache phase.
 	stride := ev.cfg.VoltEvery
@@ -48,7 +38,7 @@ func TestCostStableForUnchangedState(t *testing.T) {
 }
 
 func TestCostRespondsToPerturbation(t *testing.T) {
-	ev := newEvaluator(t, PowerAware, 3)
+	ev := makeEval(t, PowerAware, false, 3)
 	base := ev.Cost()
 	rng := rand.New(rand.NewSource(4))
 	changed := false
@@ -68,8 +58,8 @@ func TestTSCModeIncludesLeakageTerms(t *testing.T) {
 	// Same floorplan, same seed: the TSC cost must include extra terms, so
 	// the two modes' raw term structs agree on shared terms but TSC fills
 	// corr/entropy.
-	evPA := newEvaluator(t, PowerAware, 5)
-	evTSC := newEvaluator(t, TSCAware, 5)
+	evPA := makeEval(t, PowerAware, false, 5)
+	evTSC := makeEval(t, TSCAware, false, 5)
 	lPA := evPA.fp.Pack()
 	lTSC := evTSC.fp.Pack()
 	tPA := evPA.terms(lPA)
@@ -87,7 +77,7 @@ func TestTSCModeIncludesLeakageTerms(t *testing.T) {
 }
 
 func TestDesignRuleTermRange(t *testing.T) {
-	ev := newEvaluator(t, PowerAware, 6)
+	ev := makeEval(t, PowerAware, false, 6)
 	l := ev.fp.Pack()
 	terms := ev.terms(l)
 	if terms.rule < 0 || terms.rule > 1 {
@@ -111,7 +101,7 @@ func TestDesignRuleTermTracksDieAssignment(t *testing.T) {
 }
 
 func TestVoltCacheRefreshes(t *testing.T) {
-	ev := newEvaluator(t, PowerAware, 8)
+	ev := makeEval(t, PowerAware, false, 8)
 	l := ev.fp.Pack()
 	ev.terms(l) // eval 0: assignment runs
 	if ev.powerScale == nil {

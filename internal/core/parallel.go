@@ -37,17 +37,7 @@ func runParallelAnneal(ctx context.Context, des *netlist.Design, cfg *Config, rn
 	}
 	swapSeed := rng.Int63()
 
-	newEval := func(fp *floorplan.Floorplan) *evaluator {
-		ev := &evaluator{fp: fp, cfg: cfg, fast: fast, check: cfg.CostCrossCheck}
-		if *cfg.IncrementalCost {
-			ev.incr = newIncrState()
-			ev.voltIncr = *cfg.IncrementalVoltage
-			ev.entropyIncr = *cfg.IncrementalEntropy
-			ev.adjIncr = *cfg.AdjacencyIndex
-			ev.staIncr = *cfg.IncrementalSTA
-		}
-		return ev
-	}
+	newEval := func(fp *floorplan.Floorplan) *evaluator { return newEvaluator(fp, cfg, fast) }
 
 	reps := make([]anneal.Replica, k)
 	evs := make([][]*evaluator, k)
@@ -142,15 +132,6 @@ func addEvalStats(dst, src *EvalStats) {
 	dst.EntropyPatched += src.EntropyPatched
 	dst.EntropyRebuilt += src.EntropyRebuilt
 	dst.EntropyCrossChecks += src.EntropyCrossChecks
-	dst.AdjFullSweeps += src.AdjFullSweeps
-	dst.AdjIncrementalUpdates += src.AdjIncrementalUpdates
-	dst.AdjRowsChanged += src.AdjRowsChanged
-	dst.AdjCrossChecks += src.AdjCrossChecks
-	dst.STAPatches += src.STAPatches
-	dst.STARebuilds += src.STARebuilds
-	dst.STAModulesRecomputed += src.STAModulesRecomputed
-	dst.STACritRescans += src.STACritRescans
-	dst.STACrossChecks += src.STACrossChecks
 	dst.DiesRepacked += src.DiesRepacked
 	dst.DiesReused += src.DiesReused
 	dst.NetsRecomputed += src.NetsRecomputed
@@ -174,6 +155,4 @@ func addEvalStats(dst, src *EvalStats) {
 			dst.PackChangedHist[i] += c
 		}
 	}
-	dst.STAGateTrips += src.STAGateTrips
-	dst.AdjBulkFallbacks += src.AdjBulkFallbacks
 }

@@ -185,11 +185,6 @@ func (fp *Floorplan) PackDie(l *Layout, d int) {
 	}
 }
 
-// ModulesOnDie returns the modules currently sequenced on die d, in packing
-// order. The incremental evaluator diffs their rects before and after a
-// partial repack.
-func (fp *Floorplan) ModulesOnDie(d int) []int { return fp.seq[d] }
-
 // DiePacker caches one die's skyline states between repacks so a repack can
 // resume from the first changed sequence position instead of position 0. A
 // placement depends only on the sequence prefix before it, so replaying from
@@ -839,23 +834,6 @@ func (s *skyline) commit(x, w, newY float64) {
 // Outline returns the fixed per-die outline rectangle.
 func (l *Layout) Outline() geom.Rect {
 	return geom.Rect{X: 0, Y: 0, W: l.OutlineW, H: l.OutlineH}
-}
-
-// BoundingBox returns the bounding box of all modules on die d.
-func (l *Layout) BoundingBox(d int) geom.Rect {
-	var bb geom.Rect
-	first := true
-	for mi, r := range l.Rects {
-		if l.DieOf[mi] != d {
-			continue
-		}
-		if first {
-			bb, first = r, false
-		} else {
-			bb = bb.Union(r)
-		}
-	}
-	return bb
 }
 
 // OutlineViolation returns the total area (um^2) by which modules exceed the

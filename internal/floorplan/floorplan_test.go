@@ -363,3 +363,123 @@ func TestPackDiffResetReuse(t *testing.T) {
 		}
 	}
 }
+
+// packerState is a deep copy of a DiePacker's observable state: snapshot
+// rows, sequence mirror and watermarks.
+type packerState struct {
+	xs, ys        [][]float64
+	mods          []int
+	ws, hs        []float64
+	dirs          []InsertDir
+	valid, mirror int
+}
+
+func capturePacker(dp *DiePacker) packerState {
+	s := packerState{valid: dp.valid, mirror: dp.mirror}
+	for i := range dp.xs {
+		s.xs = append(s.xs, append([]float64(nil), dp.xs[i]...))
+		s.ys = append(s.ys, append([]float64(nil), dp.ys[i]...))
+	}
+	s.mods = append(s.mods, dp.mods[:dp.mirror]...)
+	s.ws = append(s.ws, dp.ws[:dp.mirror]...)
+	s.hs = append(s.hs, dp.hs[:dp.mirror]...)
+	s.dirs = append(s.dirs, dp.dirs[:dp.mirror]...)
+	return s
+}
+
+func (s packerState) equal(o packerState) bool {
+	if s.valid != o.valid || s.mirror != o.mirror || len(s.xs) != len(o.xs) || len(s.mods) != len(o.mods) {
+		return false
+	}
+	for i := range s.xs {
+		if !floatsIdentical(s.xs[i], o.xs[i]) || !floatsIdentical(s.ys[i], o.ys[i]) {
+			return false
+		}
+	}
+	for i := range s.mods {
+		//lint:floateq byte-exact restore is the contract: both sides are copies, not recomputations
+		if s.mods[i] != o.mods[i] || s.ws[i] != o.ws[i] || s.hs[i] != o.hs[i] || s.dirs[i] != o.dirs[i] {
+			return false
+		}
+	}
+	return true
+}
+
+func floatsIdentical(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestPackDiffRollbackConvergedShift rolls back cross-die moves whose diffs
+// re-converged early with a shifted suffix: the source die shrank (delta > 0)
+// and the destination grew (delta < 0), so the commit moved the surviving
+// snapshots and mirror entries by delta and the rollback must move them
+// back. After every such rollback the packers and the layout must equal
+// their pre-move state byte for byte.
+func TestPackDiffRollbackConvergedShift(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	fp := NewRandom(bench.MustGenerate("n100"), rng)
+	lay := fp.Pack()
+	packers := make([]*DiePacker, lay.Dies)
+	for d := range packers {
+		packers[d] = &DiePacker{}
+		fp.PackDieFromDiff(lay, d, 0, packers[d], &PackDiff{})
+	}
+	shrunk, grew := 0, 0
+	for cycle := 0; cycle < 4000 && (shrunk < 3 || grew < 3); cycle++ {
+		pre := lay.Clone()
+		before := make([]packerState, len(packers))
+		for d, dp := range packers {
+			before[d] = capturePacker(dp)
+		}
+		mv, undo := fp.PerturbMove(rng)
+		var diffs []*PackDiff
+		shift := false
+		for i, d := range mv.Dies {
+			pd := &PackDiff{}
+			fp.PackDieFromDiff(lay, d, mv.Starts[i], packers[d], pd)
+			diffs = append(diffs, pd)
+			if pd.Converged && pd.delta != 0 {
+				shift = true
+			}
+		}
+		if !shift {
+			for _, pd := range diffs {
+				pd.Commit()
+			}
+			continue
+		}
+		undo()
+		for i := len(diffs) - 1; i >= 0; i-- {
+			pd := diffs[i]
+			if pd.Converged && pd.delta > 0 {
+				shrunk++
+			} else if pd.Converged && pd.delta < 0 {
+				grew++
+			}
+			pd.Rollback(lay)
+		}
+		for m := range lay.Rects {
+			if lay.Rects[m] != pre.Rects[m] || lay.DieOf[m] != pre.DieOf[m] {
+				t.Fatalf("cycle %d: rollback left module %d at %+v/die%d, want %+v/die%d",
+					cycle, m, lay.Rects[m], lay.DieOf[m], pre.Rects[m], pre.DieOf[m])
+			}
+		}
+		for d, dp := range packers {
+			if !capturePacker(dp).equal(before[d]) {
+				t.Fatalf("cycle %d: die %d packer state not restored byte-exactly", cycle, d)
+			}
+		}
+	}
+	if shrunk == 0 || grew == 0 {
+		t.Fatalf("converged shifted rollbacks not exercised: delta>0 %d, delta<0 %d", shrunk, grew)
+	}
+	t.Logf("rolled back %d converged shrinks and %d converged growths", shrunk, grew)
+}

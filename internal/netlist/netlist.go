@@ -242,6 +242,9 @@ func (d *Design) Validate() error {
 	if d.Dies < 1 {
 		return fmt.Errorf("netlist: need at least one die, got %d", d.Dies)
 	}
+	if len(d.Modules) == 0 {
+		return fmt.Errorf("netlist: design %q has no modules", d.Name)
+	}
 	names := make(map[string]bool, len(d.Modules))
 	for i, m := range d.Modules {
 		if m == nil {

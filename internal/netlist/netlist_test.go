@@ -46,6 +46,14 @@ func TestValidateCatchesBadOutline(t *testing.T) {
 	}
 }
 
+func TestValidateCatchesNoModules(t *testing.T) {
+	d := smallDesign()
+	d.Modules, d.Nets = nil, nil
+	if err := d.Validate(); err == nil {
+		t.Fatal("expected empty-module-list error")
+	}
+}
+
 func TestValidateCatchesDanglingNet(t *testing.T) {
 	d := smallDesign()
 	d.Nets[0].Modules = []int{7, 1}

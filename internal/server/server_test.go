@@ -450,6 +450,8 @@ func TestQueueBoundsAndValidation(t *testing.T) {
 		"negative iterations":  `{"benchmark": "n100", "options": {"iterations": -1}}`,
 		"unknown field":        `{"benchmark": "n100", "bogus": 1}`,
 		"truncated":            `{"benchmark": "n1`,
+		"zero modules": `{"design": {"name": "x", "dies": 2, "outline_w_um": 100, "outline_h_um": 100,
+			"modules": [], "nets": []}}`,
 	} {
 		if _, resp := submit(t, ts, body); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400", name, resp.StatusCode)

@@ -2,6 +2,7 @@ package timing
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/floorplan"
@@ -132,6 +133,25 @@ func TestAnalysisDoesNotAliasNetDelay(t *testing.T) {
 			t.Fatalf("%s: Critical drifted", tc.name)
 		}
 		src[0], src[1] = 0.5, 0.7
+	}
+}
+
+// TestAnalyzeIntoReuseMatchesFresh pins the pooled path the incremental
+// evaluator takes on every move: an Analysis refilled in place after a
+// pass with larger delays and scales must equal a fresh pass exactly —
+// stale Arrive/Depart values left by the earlier pass would otherwise win
+// the max updates.
+func TestAnalyzeIntoReuseMatchesFresh(t *testing.T) {
+	des := chainDesign()
+	pooled := AnalyzeFromNetDelaysInto(des, []float64{9, 9}, []float64{3, 3, 3}, nil)
+	nd, scale := []float64{0.5, 0.7}, []float64{1, 0.9, 1.1}
+	got := AnalyzeFromNetDelaysInto(des, nd, scale, pooled)
+	if got != pooled {
+		t.Fatal("the pooled Analysis was not reused")
+	}
+	want := AnalyzeFromNetDelays(des, nd, scale)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("reused analysis %+v != fresh %+v", got, want)
 	}
 }
 

@@ -58,13 +58,9 @@ type Assigner struct {
 
 	// Adjacency sweeps double-buffer their storage: the refresh diff needs
 	// the previous rows (adj, aliasing adjScratch[adjBuf]) while the new
-	// sweep fills the other scratch. With the churn-tolerant index enabled
-	// (Config.FullAdjacency unset), index owns the rows instead: Refresh
-	// patches only the rows the dirty modules touched and reports exactly
-	// the changed ones, replacing both the full sweep and the all-rows diff.
+	// sweep fills the other scratch.
 	adjScratch [2]floorplan.AdjacencyScratch
 	adjBuf     int
-	index      *floorplan.AdjacencyIndex
 
 	cands []candTree
 
@@ -106,18 +102,6 @@ type AssignerStats struct {
 	// trees served as-is vs regrown because a dependency changed.
 	CandidatesReused  int
 	CandidatesRegrown int
-	// AdjFullSweeps counts full adjacency re-sweeps: rebuilds, every
-	// refresh under Config.FullAdjacency, and index updates that fell back
-	// to the bulk sweep-plus-diff path at high churn. AdjIncrementalUpdates
-	// counts refreshes served by the index's per-module probes. The index
-	// paths together reported AdjRowsChanged changed neighbour rows.
-	// AdjBulkFallbacks counts only the high-churn index fallbacks (a subset
-	// of AdjFullSweeps) — the gate trips the packer diff contract is meant
-	// to avoid.
-	AdjFullSweeps         int
-	AdjIncrementalUpdates int
-	AdjRowsChanged        int
-	AdjBulkFallbacks      int
 }
 
 // NewAssigner returns an empty engine; the first Assign or Refresh builds
@@ -160,35 +144,6 @@ func (a *Assigner) Stats() AssignerStats { return a.stats }
 func (a *Assigner) Invalidate() {
 	a.valid = false
 	a.last = nil
-	if a.index != nil {
-		a.index.Invalidate()
-	}
-}
-
-// CheckAdjacency compares the engine's cached adjacency rows against a fresh
-// sweep of l and returns a description of the first divergence, or nil. The
-// flow's cross-check path uses it to pin the adjacency index; it forfeits
-// the index's speedup, so it is a debug aid only. A nil result on an engine
-// that has not been built yet is trivially nil.
-func (a *Assigner) CheckAdjacency(l *floorplan.Layout) error {
-	if !a.valid || a.adj == nil {
-		return nil
-	}
-	if a.index != nil && a.index.Valid() {
-		return a.index.CheckAgainst(l)
-	}
-	// FullAdjacency mode: a.adj aliases the double-buffered sweep scratch,
-	// so compare against a sweep into fresh storage.
-	want := l.AdjacentModulesInto(&floorplan.AdjacencyScratch{})
-	if len(want) != len(a.adj) {
-		return fmt.Errorf("volt: cached adjacency covers %d modules, layout has %d", len(a.adj), len(want))
-	}
-	for m := range want {
-		if !intsEqual(a.adj[m], want[m]) {
-			return fmt.Errorf("volt: module %d cached adjacency %v != fresh sweep %v", m, a.adj[m], want[m])
-		}
-	}
-	return nil
 }
 
 // Assign computes the full assignment, replacing every cache. It is
@@ -228,37 +183,16 @@ func (a *Assigner) Refresh(l *floorplan.Layout, ref *timing.Analysis, dirtyMods 
 	}
 	// Adjacency depends only on placement, so it is left untouched when
 	// nothing moved. A moved module may keep its adjacency (pure slide):
-	// both paths keep such moves from dirtying anything — the index by
-	// reporting only rows whose content changed, the sweep via the
-	// per-module diff.
+	// the per-module diff keeps such moves from dirtying anything.
 	if len(dirtyMods) > 0 {
-		if a.index != nil {
-			changed, bulk := a.index.Update(l, dirtyMods)
-			for _, m := range changed {
+		adj2 := a.sweepAdjacency(l)
+		for m := range adj2 {
+			if !intsEqual(adj2[m], a.adj[m]) {
 				a.adjDirty[m] = true
 				anyDirty = true
-				a.stats.AdjRowsChanged++
 			}
-			a.adj = a.index.Rows()
-			if bulk {
-				// The index fell back to its sweep-plus-diff path: count it
-				// as a full sweep so the telemetry separates the regimes.
-				a.stats.AdjFullSweeps++
-				a.stats.AdjBulkFallbacks++
-			} else {
-				a.stats.AdjIncrementalUpdates++
-			}
-		} else {
-			adj2 := a.sweepAdjacency(l)
-			for m := range adj2 {
-				if !intsEqual(adj2[m], a.adj[m]) {
-					a.adjDirty[m] = true
-					anyDirty = true
-				}
-			}
-			a.adj = adj2
-			a.stats.AdjFullSweeps++
 		}
+		a.adj = adj2
 	}
 	if !anyDirty && a.last != nil {
 		// The assignment is a pure function of (adjacency, masks, constant
@@ -328,16 +262,7 @@ func (a *Assigner) rebuild(l *floorplan.Layout, ref *timing.Analysis) *Assignmen
 	for m := 0; m < n; m++ {
 		a.refreshMask(m, ref)
 	}
-	a.stats.AdjFullSweeps++
-	if a.cfg.FullAdjacency {
-		a.adj = a.sweepAdjacency(l)
-	} else {
-		if a.index == nil {
-			a.index = floorplan.NewAdjacencyIndex()
-		}
-		a.index.Rebuild(l)
-		a.adj = a.index.Rows()
-	}
+	a.adj = a.sweepAdjacency(l)
 	for root := 0; root < n; root++ {
 		a.growCandidate(root)
 	}

@@ -95,6 +95,7 @@ func TestResultJSONRoundTrip(t *testing.T) {
 	if err := res.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
+	want := append([]byte(nil), buf.Bytes()...)
 	back, err := ReadResult(&buf)
 	if err != nil {
 		t.Fatal(err)
@@ -109,6 +110,35 @@ func TestResultJSONRoundTrip(t *testing.T) {
 	// Renderers work from the snapshot alone.
 	if hm, err := back.PowerHeatmap(0); err != nil || len(hm) == 0 {
 		t.Fatalf("decoded heatmap: %q, %v", hm, err)
+	}
+
+	// Artifacts stored before the STA cache and adjacency index were retired
+	// still carry their sta_*/adj_* stats keys; they must stay readable and
+	// re-encode to the current bytes.
+	var doc map[string]any
+	if err := json.Unmarshal(want, &doc); err != nil {
+		t.Fatal(err)
+	}
+	stats := doc["stats"].(map[string]any)
+	for _, k := range []string{"sta_patches", "sta_rebuilds", "sta_modules_recomputed", "sta_crit_rescans",
+		"sta_cross_checks", "sta_gate_trips", "adj_full_sweeps", "adj_incremental_updates",
+		"adj_rows_changed", "adj_cross_checks", "adj_bulk_fallbacks"} {
+		stats[k] = 7
+	}
+	legacy, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := ReadResult(bytes.NewReader(legacy))
+	if err != nil {
+		t.Fatalf("result with retired stats keys rejected: %v", err)
+	}
+	var again bytes.Buffer
+	if err := old.WriteJSON(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), want) {
+		t.Fatal("result with retired stats keys re-encodes differently")
 	}
 }
 

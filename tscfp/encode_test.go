@@ -47,6 +47,8 @@ func TestDesignDecodeInvalid(t *testing.T) {
 		"unknown module kind": `{"name":"x","dies":2,"outline_w_um":100,"outline_h_um":100,
 			"modules":[{"name":"m0","kind":"gaseous","w_um":10,"h_um":10,"power_w":1}],
 			"nets":[]}`,
+		"no modules": `{"name":"x","dies":2,"outline_w_um":100,"outline_h_um":100,
+			"modules":[],"nets":[]}`,
 		"invalid netlist": `{"name":"x","dies":2,"outline_w_um":100,"outline_h_um":100,
 			"modules":[{"name":"m0","kind":"hard","w_um":10,"h_um":10,"power_w":1}],
 			"nets":[{"name":"n0","modules":[0,99]}]}`,

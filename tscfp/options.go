@@ -369,95 +369,12 @@ func WithSpeculation(m int) Option {
 	}
 }
 
-// WithIncrementalCost selects the annealing-loop cost evaluator. Enabled by
-// default: moves repack only the dies they touch and patch cached per-net
-// wirelength/delay and per-die thermal state, with the full-recompute path
-// kept as the debugging reference. Disabling it recomputes every term from
-// scratch on every move. Both evaluators find the identical best floorplan
-// for a fixed seed; their per-move costs agree to well within 1e-9.
-func WithIncrementalCost(enabled bool) Option {
-	return func(s *settings) {
-		v := enabled
-		s.cfg.IncrementalCost = &v
-	}
-}
-
-// WithIncrementalVoltage selects the incremental voltage-volume refresh.
-// Enabled by default: the annealing loop holds a cached assignment engine
-// (per-module feasible-level masks, adjacency lists, per-root candidate
-// trees) and each stride refresh regrows only the candidate trees whose
-// inputs changed since the previous refresh, with the dirty set derived from
-// the move journal. Disabling it recomputes the assignment from scratch at
-// every refresh. Both paths produce identical voltage volumes and scales for
-// a fixed seed (see WithCostCrossCheck); only effective together with
-// WithIncrementalCost, since the dirty set comes from its move journal.
-func WithIncrementalVoltage(enabled bool) Option {
-	return func(s *settings) {
-		v := enabled
-		s.cfg.IncrementalVoltage = &v
-	}
-}
-
-// WithIncrementalEntropy selects the incremental spatial-entropy refresh
-// (TSC mode). Enabled by default: each die holds an entropy cache that
-// maintains the nested-means value sort and evaluates the per-class
-// Manhattan terms of Eq. 3 from coordinate histograms, patching both from
-// the power-map diff of each move instead of recomputing the metric from
-// scratch per dirty die. Disabling it restores the from-scratch evaluation.
-// Both paths agree within 1e-9 per die (see WithCostCrossCheck) and produce
-// the identical best floorplan for a fixed seed; only effective together
-// with WithIncrementalCost, since the caches live in its move journal.
-func WithIncrementalEntropy(enabled bool) Option {
-	return func(s *settings) {
-		v := enabled
-		s.cfg.IncrementalEntropy = &v
-	}
-}
-
-// WithAdjacencyIndex selects the churn-tolerant adjacency structure inside
-// the incremental voltage engine. Enabled by default: the cached assigner
-// keeps a bucketed interval index of module adjacency and each stride
-// refresh patches only the neighbour rows the moved modules touched,
-// replacing the full adjacency re-sweep and all-rows diff. Disabling it
-// restores the re-sweep (the debugging reference the index is pinned
-// against). Row sets are exactly equal either way; only effective together
-// with WithIncrementalVoltage, which owns the assigner.
-func WithAdjacencyIndex(enabled bool) Option {
-	return func(s *settings) {
-		v := enabled
-		s.cfg.AdjacencyIndex = &v
-	}
-}
-
-// WithIncrementalSTA selects the incremental static-timing engine. Enabled
-// by default: the annealing loop holds two timing caches — the reference
-// analysis feeding voltage refreshes and the delay-scaled one feeding the
-// critical-delay cost term — that patch Arrive/Depart and the global
-// critical delay from each move's refreshed nets instead of re-running two
-// full-design STA passes per evaluation, with journaled undo for rejected
-// moves. Disabling it restores the per-evaluation full passes (the
-// debugging reference the caches are pinned against). Both paths agree
-// within 1e-9 on every analysis field (see WithCostCrossCheck) and produce
-// the identical best floorplan for a fixed seed; only effective together
-// with WithIncrementalCost, since the patches come from its move journal.
-func WithIncrementalSTA(enabled bool) Option {
-	return func(s *settings) {
-		v := enabled
-		s.cfg.IncrementalSTA = &v
-	}
-}
-
 // WithCostCrossCheck re-evaluates every annealing move through the full
 // recompute path and panics if the incremental cost drifts beyond 1e-9
-// (relative); with WithIncrementalVoltage it additionally pins every
-// incremental voltage refresh against a from-scratch assignment (identical
-// volumes, total power within 1e-9), with WithAdjacencyIndex the cached
-// adjacency rows against a fresh sweep (exact equality), with
-// WithIncrementalEntropy every patched per-die entropy against a
-// from-scratch recompute (1e-9 relative), and with WithIncrementalSTA both
-// cached timing analyses against a full STA pass on every evaluation (1e-9
-// on every field). Debug aid: it forfeits the entire incremental speedup.
-// It has no effect when WithIncrementalCost(false) is set.
+// (relative). It additionally pins every incremental voltage refresh
+// against a from-scratch assignment (identical volumes, total power within
+// 1e-9) and every patched per-die entropy against a from-scratch recompute
+// (1e-9 relative). Debug aid: it forfeits the entire incremental speedup.
 func WithCostCrossCheck(enabled bool) Option {
 	return func(s *settings) { s.cfg.CostCrossCheck = enabled }
 }
@@ -465,8 +382,7 @@ func WithCostCrossCheck(enabled bool) Option {
 // WithChurnStats surfaces the exact-diff repack churn counters in
 // Result.Stats: the pack_* fields (moves through the diff packer, per-die
 // diffs, early exits, replayed positions, changed-module totals and p50/p95
-// per move) plus the sta_gate_trips and adj_bulk_fallbacks fallback-path
-// counters. The counters are always collected; this knob only controls
+// per move). The counters are always collected; this knob only controls
 // whether they appear on the wire, so the default JSON encoding stays
 // byte-identical to earlier releases. Default off.
 func WithChurnStats(enabled bool) Option {
