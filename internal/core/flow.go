@@ -69,7 +69,7 @@ func RunContext(ctx context.Context, des *netlist.Design, cfg Config) (*Result, 
 			Iterations: cfg.SAIterations,
 			Ctx:        ctx,
 			OnBest: func(cost float64) {
-				best = fp.Clone()
+				best = fp.SnapshotInto(best)
 			},
 			OnChain: func(done, total int, bestCost float64) {
 				cfg.emit(ProgressEvent{Stage: StageAnneal, Done: done, Total: total, Cost: bestCost})

@@ -79,6 +79,11 @@ type incrState struct {
 	journal *moveJournal    // rollback record of the last evaluated move
 	dirty   []int           // dies whose maps need patching this evaluation
 
+	// spareJournal is the settled journal of the previous move (superseded
+	// by perturb or unwound by rollback), kept so the next move refills its
+	// slices instead of regrowing them from zero.
+	spareJournal *moveJournal
+
 	// packers[d] caches die d's skyline states so repacks resume from the
 	// move's first changed sequence position. diffPool recycles the
 	// floorplan.PackDiff records that journal each repack (one or two per
@@ -119,13 +124,22 @@ type incrState struct {
 
 	// Recycled buffers: the annealing loop runs one evaluation per move, so
 	// per-eval allocations are worth pooling. staRef/staScaled hold the
-	// reference and delay-scaled STA passes.
+	// reference and delay-scaled STA passes. pool holds superseded map and
+	// response grids, respPool the per-source response slices that held
+	// them, and blurTmp is the fast estimator's intermediate blur pass.
 	staRef    *timing.Analysis
 	staScaled *timing.Analysis
 	temps     []*geom.Grid
 	powers    []float64
 	pool      []*geom.Grid
+	respPool  [][]*geom.Grid
+	blurTmp   *geom.Grid
 }
+
+// poolCap bounds the grid and response-slice pools: the steady-state working
+// set is a handful of each; anything beyond that is left to the garbage
+// collector.
+const poolCap = 64
 
 // grabGrid returns a pooled grid of the cache's dimensions (contents
 // undefined) or allocates one.
@@ -140,22 +154,52 @@ func (ic *incrState) grabGrid(nx, ny int) *geom.Grid {
 	return geom.NewGrid(nx, ny)
 }
 
-// releaseGrid returns a superseded grid to the pool (bounded — the
-// steady-state working set is a handful of grids; anything beyond that is
-// left to the garbage collector). Only call when dropping the last
-// reference.
+// releaseGrid returns a superseded grid to the bounded pool. Only call when
+// dropping the last reference.
 func (ic *incrState) releaseGrid(g *geom.Grid) {
-	const poolCap = 64
 	if g != nil && len(ic.pool) < poolCap {
 		ic.pool = append(ic.pool, g)
 	}
 }
 
-// releaseGrids is releaseGrid over a slice.
-func (ic *incrState) releaseGrids(gs []*geom.Grid) {
-	for _, g := range gs {
+// grabResp returns a per-target response slice of pooled n x n grids
+// (contents undefined), reusing a released slice when one is available.
+func (ic *incrState) grabResp(dies, n int) []*geom.Grid {
+	var r []*geom.Grid
+	if k := len(ic.respPool); k > 0 {
+		r = ic.respPool[k-1]
+		ic.respPool = ic.respPool[:k-1]
+	}
+	for t := 0; t < dies; t++ {
+		r = append(r, ic.grabGrid(n, n))
+	}
+	return r
+}
+
+// releaseResp returns a superseded response's grids, and the slice that
+// held them, to the bounded pools. Only call when dropping the last
+// reference.
+func (ic *incrState) releaseResp(r []*geom.Grid) {
+	if r == nil {
+		return
+	}
+	for _, g := range r {
 		ic.releaseGrid(g)
 	}
+	if len(ic.respPool) < poolCap {
+		ic.respPool = append(ic.respPool, r[:0])
+	}
+}
+
+// response blurs die s's current power map into pooled grids through the
+// fast estimator, bit-identical to fast.Response(ic.maps[s], s).
+func (ic *incrState) response(e *evaluator, s, n int) []*geom.Grid {
+	if ic.blurTmp == nil || ic.blurTmp.NX != n || ic.blurTmp.NY != n {
+		ic.blurTmp = geom.NewGrid(n, n)
+	}
+	r := ic.grabResp(ic.lay.Dies, n)
+	e.fast.ResponseInto(ic.maps[s], s, r, ic.blurTmp)
+	return r
 }
 
 // grabDiff returns a cleared pack-diff record from the pool or allocates one.
@@ -223,6 +267,23 @@ type moveJournal struct {
 	voltAdded []int
 }
 
+// grabJournal returns the recycled journal, cleared but keeping its slice
+// storage, or a fresh one.
+func (ic *incrState) grabJournal() *moveJournal {
+	j := ic.spareJournal
+	if j == nil {
+		return &moveJournal{}
+	}
+	ic.spareJournal = nil
+	j.reset, j.refreshed, j.mapsRebuilt = false, false, false
+	j.mods, j.rects, j.dies, j.packDiffs = j.mods[:0], j.rects[:0], j.dies[:0], j.packDiffs[:0]
+	j.nets, j.netLen, j.netCross = j.nets[:0], j.netLen[:0], j.netCross[:0]
+	j.netWL, j.netDelay = j.netWL[:0], j.netDelay[:0]
+	j.mapDies, j.oldMaps, j.oldResp, j.oldEntropy = j.mapDies[:0], j.oldMaps[:0], j.oldResp[:0], j.oldEntropy[:0]
+	j.voltAdded = j.voltAdded[:0]
+	return j
+}
+
 // newIncrState allocates an empty cache set; everything is built lazily on
 // the first Cost call.
 func newIncrState() *incrState { return &incrState{} }
@@ -252,15 +313,18 @@ func (ic *incrState) perturb(e *evaluator, rng *rand.Rand) func() {
 	// on without undoing, that move is committed and its pre-move grid
 	// snapshots and pack-diff journals can be recycled.
 	if j := ic.journal; j != nil {
-		ic.releaseGrids(j.oldMaps)
+		for _, g := range j.oldMaps {
+			ic.releaseGrid(g)
+		}
 		for _, r := range j.oldResp {
-			ic.releaseGrids(r)
+			ic.releaseResp(r)
 		}
 		for _, pd := range j.packDiffs {
 			pd.Commit()
 			ic.releaseDiff(pd)
 		}
 		ic.journal = nil
+		ic.spareJournal = j
 	}
 	ic.pending = &mv
 	return func() {
@@ -283,6 +347,8 @@ func (ic *incrState) rollback() {
 	if j == nil {
 		return // undone before any Cost ran: caches never saw the move
 	}
+	// Every path below settles the journal; recycle it for the next move.
+	defer func() { ic.spareJournal = j }()
 	if j.reset {
 		ic.lay = nil
 		ic.mapsValid = false
@@ -350,12 +416,14 @@ func (ic *incrState) rollback() {
 		ic.mapsValid = false
 		return
 	}
+	// TSC mode journals one entropy per map die; power-aware mode none.
+	entropyJournaled := len(j.oldEntropy) == len(j.mapDies)
 	for i, d := range j.mapDies {
-		ic.releaseGrids(ic.resp[d])
+		ic.releaseResp(ic.resp[d])
 		ic.releaseGrid(ic.maps[d])
 		ic.maps[d] = j.oldMaps[i]
 		ic.resp[d] = j.oldResp[i]
-		if j.oldEntropy != nil {
+		if entropyJournaled {
 			ic.entropy[d] = j.oldEntropy[i]
 		}
 	}
@@ -527,7 +595,8 @@ func (ic *incrState) initGeometry(e *evaluator) {
 		// The move is folded into this full build; there is no itemized
 		// rollback record, so an undo must drop the caches entirely.
 		ic.pending = nil
-		ic.journal = &moveJournal{reset: true}
+		ic.journal = ic.grabJournal()
+		ic.journal.reset = true
 	}
 }
 
@@ -590,7 +659,7 @@ func (ic *incrState) refreshNet(ni int, n *netlist.Net, p *timing.Params) {
 func (ic *incrState) applyMove(e *evaluator) {
 	mv := ic.pending
 	ic.pending = nil
-	j := &moveJournal{}
+	j := ic.grabJournal()
 	ic.journal = j
 	ic.movedEval = true
 
@@ -676,11 +745,11 @@ func (ic *incrState) updateMaps(e *evaluator, powers []float64) {
 	if !ic.mapsValid {
 		for d := 0; d < ic.lay.Dies; d++ {
 			ic.releaseGrid(ic.maps[d])
-			ic.releaseGrids(ic.resp[d])
-			ic.maps[d] = ic.lay.PowerMap(d, n, n, powers)
+			ic.releaseResp(ic.resp[d])
+			ic.maps[d] = ic.lay.PowerMapInto(d, powers, ic.grabGrid(n, n))
 		}
 		for s := 0; s < ic.lay.Dies; s++ {
-			ic.resp[s] = e.fast.Response(ic.maps[s], s)
+			ic.resp[s] = ic.response(e, s, n)
 			if tsc {
 				ic.entropy[s] = ic.dieEntropy(e, s)
 			}
@@ -716,7 +785,7 @@ func (ic *incrState) updateMaps(e *evaluator, powers []float64) {
 	}
 	for _, d := range ic.dirty {
 		j.oldResp = append(j.oldResp, ic.resp[d])
-		ic.resp[d] = e.fast.Response(ic.maps[d], d)
+		ic.resp[d] = ic.response(e, d, n)
 		if tsc {
 			j.oldEntropy = append(j.oldEntropy, ic.entropy[d])
 			ic.entropy[d] = ic.dieEntropy(e, d)

@@ -94,6 +94,45 @@ func TestIncrementalMatchesFullOverRandomCycles(t *testing.T) {
 	}
 }
 
+// TestIncrementalSteadyStateAllocs pins the annealing move loop's
+// allocations. After a warm-up that fills the journal, pack-diff, snapshot
+// row, grid and response pools, an n100 evaluator runs alternating accepted
+// and undone perturb/Cost cycles, in both modes. Measured at 11 (PA) and 13
+// (TSC) allocations per cycle. What remains:
+//
+//   - the move protocol, ~4.4 per cycle: the floorplan.Move held as the
+//     pending move, its Dies/Starts slices (two for a single-die move, up
+//     to four for a cross-die one), the operator's undo closure from
+//     PerturbMove, and the undo closure handed back to the annealer;
+//   - the voltage refresh, ~6-8 per cycle amortized: every VoltEvery (10)
+//     evaluations it builds a fresh volt.Assignment (per-module level and
+//     scale slices, one member list per volume), which the evaluator keeps
+//     as its scales, plus the adjacency sweep's sort closures.
+//
+// Everything else (journals, repacks, skyline scans, power maps, blur
+// responses, entropy patches, STA passes) runs on recycled storage.
+func TestIncrementalSteadyStateAllocs(t *testing.T) {
+	const maxAllocsPerCycle = 16 // the measured 13, plus headroom for toolchain escape-analysis drift
+	for _, mode := range []Mode{PowerAware, TSCAware} {
+		ev := makeEval(t, mode, true, 61)
+		journaledRun(ev, 1000, 62, 63, nil)
+		rng := rand.New(rand.NewSource(64))
+		accept := false
+		allocs := testing.AllocsPerRun(500, func() {
+			undo := ev.Perturb(rng)
+			ev.Cost()
+			if !accept {
+				undo()
+			}
+			accept = !accept
+		})
+		t.Logf("%v: %v allocations per perturb/Cost/accept-or-undo cycle", mode, allocs)
+		if allocs > maxAllocsPerCycle {
+			t.Errorf("%v: %v allocations per cycle, want <= %d", mode, allocs, maxAllocsPerCycle)
+		}
+	}
+}
+
 // TestCostCrossCheckFlag exercises the built-in debug cross-check: it panics
 // on divergence, so surviving a few hundred mixed cycles (and recording a
 // sub-epsilon max error) is the assertion.

@@ -60,7 +60,7 @@ func runParallelAnneal(ctx context.Context, des *netlist.Design, cfg *Config, rn
 			Problems: probs,
 			RNG:      rrng,
 			OnBest: func(float64) {
-				bests[r] = evs[r][0].fp.Clone()
+				bests[r] = evs[r][0].fp.SnapshotInto(bests[r])
 			},
 		}
 	}

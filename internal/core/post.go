@@ -202,7 +202,6 @@ func protectionMasks(res *Result, cfg *Config) [][]bool {
 	n := cfg.GridN
 	masks := make([][]bool, l.Dies)
 	outline := l.Outline()
-	ref := geom.NewGrid(n, n)
 	for _, mi := range cfg.ProtectModules {
 		if mi < 0 || mi >= len(l.Rects) {
 			continue
@@ -226,6 +225,5 @@ func protectionMasks(res *Result, cfg *Config) [][]bool {
 			}
 		}
 	}
-	_ = ref
 	return masks
 }

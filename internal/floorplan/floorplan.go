@@ -36,8 +36,9 @@ const (
 )
 
 // Floorplan is a mutable 3D floorplan state: a die assignment plus per-die
-// packing sequences. It references (and resizes) the modules of its design
-// clone; construct with New or NewRandom.
+// packing sequences. It reads the modules of its design clone but never
+// writes them (rotation and soft aspect ratios live in rot and aspect);
+// construct with New or NewRandom.
 type Floorplan struct {
 	Design *netlist.Design
 
@@ -104,6 +105,29 @@ func (fp *Floorplan) Clone() *Floorplan {
 	c.rot = append([]bool(nil), fp.rot...)
 	c.aspect = append([]float64(nil), fp.aspect...)
 	return c
+}
+
+// SnapshotInto copies fp's sequences, directions, rotations and aspects into
+// dst, reusing dst's storage, and returns dst (a nil dst allocates one).
+// Unlike Clone the snapshot shares fp's Design: the design is cloned once in
+// New and never written afterwards (rotation and aspect live in the
+// floorplan, not in the modules), so it is read-only and safe to share. The
+// annealing loop snapshots every new best state through this.
+func (fp *Floorplan) SnapshotInto(dst *Floorplan) *Floorplan {
+	if dst == nil {
+		dst = &Floorplan{}
+	}
+	dst.Design = fp.Design
+	if len(dst.seq) != len(fp.seq) {
+		dst.seq = make([][]int, len(fp.seq))
+	}
+	for d := range fp.seq {
+		dst.seq[d] = append(dst.seq[d][:0], fp.seq[d]...)
+	}
+	dst.dir = append(dst.dir[:0], fp.dir...)
+	dst.rot = append(dst.rot[:0], fp.rot...)
+	dst.aspect = append(dst.aspect[:0], fp.aspect...)
+	return dst
 }
 
 // DieOf returns the die index currently holding module mi, or -1.
@@ -225,10 +249,12 @@ func (dp *DiePacker) takeRow() []float64 {
 	return nil
 }
 
-// recycleRow returns a snapshot row's backing to the bounded spare pool.
+// recycleRow returns a snapshot row's backing to the spare pool. The pool
+// holds up to two rows (xs and ys) per snapshot slot of the die, the most a
+// single repack can displace, so even a replay of the whole sequence finds
+// every row it needs in the pool instead of reallocating.
 func (dp *DiePacker) recycleRow(r []float64) {
-	const spareCap = 128
-	if r != nil && len(dp.spare) < spareCap {
+	if r != nil && len(dp.spare) < 2*cap(dp.xs) {
 		dp.spare = append(dp.spare, r)
 	}
 }
@@ -728,30 +754,29 @@ func (s *skyline) spanHeight(x, w float64) float64 {
 
 // place finds a corner for a w x h module per the direction preference,
 // commits it to the skyline, and returns the lower-left position.
+//
+// The scan keeps the running best in locals and replaces it only with a
+// strictly better corner, so it picks what a candidate list would have
+// picked without allocating one.
 func (s *skyline) place(w, h float64, dir InsertDir) (float64, float64) {
-	type cand struct{ x, y float64 }
-	var cands []cand
+	var bx, by float64
+	found := false
 	for i := range s.xs {
 		x := s.xs[i]
 		if x+w > s.width+1e-9 {
 			continue
 		}
-		cands = append(cands, cand{x, s.spanHeight(x, w)})
-	}
-	var best cand
-	if len(cands) == 0 {
-		// Module wider than the outline or no fitting corner: clamp left.
-		best = cand{0, s.spanHeight(0, math.Min(w, s.width))}
-	} else {
-		best = cands[0]
-		for _, c := range cands[1:] {
-			if better(c.x, c.y, best.x, best.y, dir) {
-				best = c
-			}
+		y := s.spanHeight(x, w)
+		if !found || better(x, y, bx, by, dir) {
+			bx, by, found = x, y, true
 		}
 	}
-	s.commit(best.x, w, best.y+h)
-	return best.x, best.y
+	if !found {
+		// Module wider than the outline or no fitting corner: clamp left.
+		bx, by = 0, s.spanHeight(0, math.Min(w, s.width))
+	}
+	s.commit(bx, w, by+h)
+	return bx, by
 }
 
 func better(x, y, bx, by float64, dir InsertDir) bool {

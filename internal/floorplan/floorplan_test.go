@@ -220,6 +220,44 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+// TestSnapshotInto pins the best-state snapshot: it packs to the same
+// layout as a deep Clone, shares the source's design, refills the
+// destination without allocating once warm, and stays independent of later
+// perturbations of the source.
+func TestSnapshotInto(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	fp := NewRandom(tinyDesign(), rng)
+	var snap *Floorplan
+	samePacking := func(a, b *Layout) bool {
+		for mi := range a.Rects {
+			if a.Rects[mi] != b.Rects[mi] || a.DieOf[mi] != b.DieOf[mi] {
+				return false
+			}
+		}
+		return true
+	}
+	for i := 0; i < 30; i++ {
+		fp.Perturb(rng)
+		snap = fp.SnapshotInto(snap)
+		if !samePacking(snap.Pack(), fp.Clone().Pack()) {
+			t.Fatalf("step %d: snapshot packs differently from a clone", i)
+		}
+	}
+	if snap.Design != fp.Design {
+		t.Fatal("snapshot must share the source's read-only design")
+	}
+	if allocs := testing.AllocsPerRun(10, func() { snap = fp.SnapshotInto(snap) }); allocs != 0 {
+		t.Fatalf("re-snapshot allocated %v times, want 0", allocs)
+	}
+	before := snap.Pack()
+	for i := 0; i < 50; i++ {
+		fp.Perturb(rng)
+	}
+	if !samePacking(snap.Pack(), before) {
+		t.Fatal("perturbing the source mutated the snapshot")
+	}
+}
+
 func TestLayoutClone(t *testing.T) {
 	l := New(tinyDesign()).Pack()
 	c := l.Clone()

@@ -172,3 +172,32 @@ func TestDeadspaceEmptyDie(t *testing.T) {
 		t.Fatalf("empty die deadspace %v, want 1", got)
 	}
 }
+
+// TestSkylinePlaceAllocationFree pins the packer's inner step at zero
+// allocations once the skyline's step and scratch storage are warm: the
+// corner scan keeps its running best in locals instead of collecting a
+// candidate list. The sequence includes a module wider than the strip, so
+// the clamp-left branch is covered too.
+func TestSkylinePlaceAllocationFree(t *testing.T) {
+	type mod struct {
+		w, h float64
+		dir  InsertDir
+	}
+	rng := rand.New(rand.NewSource(12))
+	mods := make([]mod, 60)
+	for i := range mods {
+		mods[i] = mod{5 + rng.Float64()*40, 5 + rng.Float64()*40, InsertDir(rng.Intn(2))}
+	}
+	mods[len(mods)/2].w = 250 // wider than the strip
+	s := newSkyline(200)
+	allocs := testing.AllocsPerRun(20, func() {
+		s.xs = append(s.xs[:0], 0)
+		s.ys = append(s.ys[:0], 0)
+		for _, m := range mods {
+			s.place(m.w, m.h, m.dir)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("skyline placement allocated %v times per %d-module pass, want 0", allocs, len(mods))
+	}
+}

@@ -2,7 +2,7 @@ package leakage
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/geom"
 )
@@ -126,7 +126,7 @@ func (c *EntropyCache) Update(power *geom.Grid) (entropy float64, patched bool) 
 	for _, b := range changed {
 		newEntries = append(newEntries, item{power.Data[b], b})
 	}
-	sort.Slice(newEntries, func(i, j int) bool { return newEntries[i].val < newEntries[j].val })
+	slices.SortFunc(newEntries, byVal)
 	c.newEntries = newEntries
 
 	merged := c.mergeBuf[:0]
@@ -153,6 +153,19 @@ func (c *EntropyCache) Update(power *geom.Grid) (entropy float64, patched bool) 
 	return c.entropy, true
 }
 
+// byVal orders items by value, ascending. slices.SortFunc takes it without
+// the reflection-built swapper and escaping closure that sort.Slice costs on
+// every call.
+func byVal(a, b item) int {
+	switch {
+	case a.val < b.val:
+		return -1
+	case b.val < a.val:
+		return 1
+	}
+	return 0
+}
+
 // rebuild resizes and refills every structure from scratch.
 func (c *EntropyCache) rebuild(power *geom.Grid) {
 	n := len(power.Data)
@@ -170,7 +183,7 @@ func (c *EntropyCache) rebuild(power *geom.Grid) {
 	for i, v := range power.Data {
 		items = append(items, item{v, i})
 	}
-	sort.Slice(items, func(a, b int) bool { return items[a].val < items[b].val })
+	slices.SortFunc(items, byVal)
 	c.items = items
 	c.recompute(power)
 	c.valid = true

@@ -64,6 +64,26 @@ type Module struct {
 	Sensitive bool
 }
 
+// fitsOutline reports whether the module has a footprint inside a w x h
+// outline: a hard module in either orientation, a soft module at some aspect
+// ratio within its bounds, in either orientation (the floorplanner rotates
+// soft modules too). A module that fits nowhere would be clamped by the
+// packer and could never be placed legally. The relative slack absorbs the
+// round-off of the soft footprint's square roots.
+func (m *Module) fitsOutline(w, h float64) bool {
+	const slack = 1 + 1e-9
+	if m.Kind != Soft {
+		return (m.W <= w*slack && m.H <= h*slack) || (m.H <= w*slack && m.W <= h*slack)
+	}
+	// At aspect r = W/H the footprint is sqrt(A r) x sqrt(A/r), which fits
+	// a w x h outline exactly for r in [A/h^2, w^2/A].
+	a := m.Area()
+	fits := func(w, h float64) bool {
+		return max(m.MinAspect, a/(h*h)) <= min(m.MaxAspect, w*w/a)*slack
+	}
+	return fits(w, h) || fits(h, w)
+}
+
 // Area returns the module area in um^2.
 func (m *Module) Area() float64 { return m.W * m.H }
 
@@ -266,6 +286,14 @@ func (d *Design) Validate() error {
 		if m.Kind == Soft && (m.MinAspect <= 0 || m.MaxAspect < m.MinAspect) {
 			return fmt.Errorf("netlist: module %q has invalid aspect bounds [%g,%g]", m.Name, m.MinAspect, m.MaxAspect)
 		}
+		if !m.fitsOutline(d.OutlineW, d.OutlineH) {
+			if m.Kind == Soft {
+				return fmt.Errorf("netlist: soft module %q (area %g um^2) fits the %gx%g outline at no aspect ratio in [%g,%g]",
+					m.Name, m.Area(), d.OutlineW, d.OutlineH, m.MinAspect, m.MaxAspect)
+			}
+			return fmt.Errorf("netlist: module %q (%gx%g) fits the %gx%g outline in neither orientation",
+				m.Name, m.W, m.H, d.OutlineW, d.OutlineH)
+		}
 	}
 	for ni, n := range d.Nets {
 		if n == nil {
@@ -320,8 +348,10 @@ func (d *Design) SortedModuleNames() []string {
 	return out
 }
 
-// Clone returns a deep copy of the design. Modules are copied by value, so
-// the floorplanner may resize soft modules without mutating the input.
+// Clone returns a deep copy of the design: modules, nets and terminals are
+// copied by value, so the copy shares nothing with d. The floorplanner
+// clones its input once and only reads the copy; soft-module reshaping and
+// rotation live in the floorplan's own state, never in the modules.
 func (d *Design) Clone() *Design {
 	c := &Design{
 		Name:     d.Name,

@@ -78,6 +78,48 @@ func TestValidateCatchesOffBoundaryTerminal(t *testing.T) {
 	}
 }
 
+// TestValidateCatchesModulesThatCannotFit covers the two ways a module can
+// be unplaceable inside a 100x60 outline — a hard module too large in both
+// orientations, a soft module with no aspect ratio within its bounds that
+// fits — and the near misses that must still validate: a hard module that
+// fits only rotated, and soft modules that fit only at one end of their
+// aspect range.
+func TestValidateCatchesModulesThatCannotFit(t *testing.T) {
+	// A soft 200x20 module (area 4000) fits 100x60 unrotated for aspect
+	// ratios in [1.11, 2.5] and rotated for [0.4, 0.9].
+	soft := func(lo, hi float64) Module {
+		return Module{Kind: Soft, W: 200, H: 20, MinAspect: lo, MaxAspect: hi}
+	}
+	for _, tc := range []struct {
+		name string
+		mod  Module
+		ok   bool
+	}{
+		{"hard too wide", Module{Kind: Hard, W: 1e6, H: 5}, false},
+		{"hard too tall both ways", Module{Kind: Hard, W: 70, H: 70}, false},
+		{"hard fits only rotated", Module{Kind: Hard, W: 50, H: 90}, true},
+		{"hard exactly the outline", Module{Kind: Hard, W: 100, H: 60}, true},
+		{"soft area beyond the outline", Module{Kind: Soft, W: 110, H: 110, MinAspect: 0.5, MaxAspect: 2}, false},
+		{"soft bounds above every fit", soft(8, 12), false},
+		{"soft bounds between the fitting ranges", soft(0.95, 1.05), false},
+		{"soft fits at its lowest aspect", soft(2.5, 12), true},
+		{"soft fits rotated at its highest aspect", soft(0.01, 0.4), true},
+	} {
+		d := smallDesign()
+		d.OutlineH = 60
+		m := tc.mod
+		m.Name, m.Power = "x", 0.1
+		d.Modules[0] = &m
+		err := d.Validate()
+		if tc.ok && err != nil {
+			t.Errorf("%s: unexpected error %v", tc.name, err)
+		}
+		if !tc.ok && err == nil {
+			t.Errorf("%s: expected a does-not-fit error", tc.name)
+		}
+	}
+}
+
 func TestModuleAreaAndDensity(t *testing.T) {
 	m := &Module{Name: "x", W: 10, H: 20, Power: 2}
 	if m.Area() != 200 {
@@ -192,10 +234,10 @@ func TestDegreeHistogram(t *testing.T) {
 func TestCloneIsDeep(t *testing.T) {
 	d := smallDesign()
 	c := d.Clone()
-	c.Modules[0].W = 999
+	c.Modules[0].W = 99 // still fits the 100x100 outline, so c validates
 	c.Nets[0].Modules[0] = 2
 	c.Terminals[0].X = 100
-	if d.Modules[0].W == 999 || d.Nets[0].Modules[0] == 2 || d.Terminals[0].X == 100 {
+	if d.Modules[0].W == 99 || d.Nets[0].Modules[0] == 2 || d.Terminals[0].X == 100 {
 		t.Fatal("clone aliases source")
 	}
 	if err := c.Validate(); err != nil {

@@ -452,6 +452,10 @@ func TestQueueBoundsAndValidation(t *testing.T) {
 		"truncated":            `{"benchmark": "n1`,
 		"zero modules": `{"design": {"name": "x", "dies": 2, "outline_w_um": 100, "outline_h_um": 100,
 			"modules": [], "nets": []}}`,
+		"module larger than the outline": `{"design": {"name": "x", "dies": 2, "outline_w_um": 10, "outline_h_um": 10,
+			"modules": [{"name": "a", "kind": "hard", "w_um": 1000000, "h_um": 5, "power_w": 1},
+				{"name": "b", "kind": "hard", "w_um": 5, "h_um": 5, "power_w": 1}],
+			"nets": [{"name": "n", "modules": [0, 1]}]}}`,
 	} {
 		if _, resp := submit(t, ts, body); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400", name, resp.StatusCode)

@@ -22,6 +22,9 @@ type FastEstimator struct {
 	// (in cells) on target die t for a unit impulse on source die s.
 	amp   [][]float64
 	sigma [][]float64
+	// kernels[s][t] is the normalized 1-D Gaussian for sigma[s][t], built
+	// once at calibration so a blur allocates no kernel.
+	kernels [][][]float64
 	// workers bounds the goroutines fanned out per convolution pass;
 	// 0 selects GOMAXPROCS, 1 forces the serial path. Blur outputs are
 	// byte-identical for every worker count (each output cell is computed
@@ -52,6 +55,7 @@ func CalibrateFastWorkers(cfg Config, workers int) *FastEstimator {
 		nx: cfg.NX, ny: cfg.NY, dies: cfg.Dies, ambient: cfg.Ambient,
 		amp:     make([][]float64, cfg.Dies),
 		sigma:   make([][]float64, cfg.Dies),
+		kernels: make([][][]float64, cfg.Dies),
 		workers: workers,
 	}
 	stack := NewStack(cfg)
@@ -59,6 +63,7 @@ func CalibrateFastWorkers(cfg Config, workers int) *FastEstimator {
 	for src := 0; src < cfg.Dies; src++ {
 		fe.amp[src] = make([]float64, cfg.Dies)
 		fe.sigma[src] = make([]float64, cfg.Dies)
+		fe.kernels[src] = make([][]float64, cfg.Dies)
 		// Unit impulse: 1 W in the center cell of the source die.
 		for d := 0; d < cfg.Dies; d++ {
 			stack.SetDiePower(d, geom.NewGrid(cfg.NX, cfg.NY))
@@ -97,6 +102,7 @@ func CalibrateFastWorkers(cfg Config, workers int) *FastEstimator {
 			}
 			fe.amp[src][tgt] = peak
 			fe.sigma[src][tgt] = sig
+			fe.kernels[src][tgt] = gaussianKernel(sig)
 		}
 	}
 	return fe
@@ -109,12 +115,27 @@ func CalibrateFastWorkers(cfg Config, workers int) *FastEstimator {
 // annealing moves, the other sources' responses are reused verbatim.
 func (fe *FastEstimator) Response(power *geom.Grid, s int) []*geom.Grid {
 	out := make([]*geom.Grid, fe.dies)
-	for t := 0; t < fe.dies; t++ {
-		b := gaussianBlur(power, fe.sigma[s][t], fe.workers)
-		b.ScaleBy(fe.amp[s][t])
-		out[t] = b
+	for t := range out {
+		out[t] = geom.NewGrid(power.NX, power.NY)
 	}
+	fe.ResponseInto(power, s, out, geom.NewGrid(power.NX, power.NY))
 	return out
+}
+
+// ResponseInto is Response writing into caller-owned storage: out[t]
+// receives the response on target die t, and tmp holds the blur's
+// intermediate pass. out must have one grid per die, and every grid must
+// match power's dimensions; their contents are overwritten. The values are
+// bit-identical to Response, so the incremental evaluator can blur into
+// pooled grids without leaving the full path's floats.
+func (fe *FastEstimator) ResponseInto(power *geom.Grid, s int, out []*geom.Grid, tmp *geom.Grid) {
+	if len(out) != fe.dies {
+		panic("thermal: response count must equal die count")
+	}
+	for t, b := range out {
+		blurInto(b, tmp, power, fe.kernels[s][t], fe.workers)
+		b.ScaleBy(fe.amp[s][t])
+	}
 }
 
 // Combine sums per-source responses (as returned by Response, indexed
@@ -221,6 +242,14 @@ func gaussianBlur(g *geom.Grid, sigma float64, workers int) *geom.Grid {
 	if sigma <= 0 {
 		return g.Clone()
 	}
+	out := geom.NewGrid(g.NX, g.NY)
+	blurInto(out, geom.NewGrid(g.NX, g.NY), g, gaussianKernel(sigma), workers)
+	return out
+}
+
+// gaussianKernel returns the normalized 1-D Gaussian taps for sigma (in
+// cells), truncated at a radius of ceil(3 sigma) and at least 1.
+func gaussianKernel(sigma float64) []float64 {
 	radius := int(math.Ceil(3 * sigma))
 	if radius < 1 {
 		radius = 1
@@ -235,37 +264,53 @@ func gaussianBlur(g *geom.Grid, sigma float64, workers int) *geom.Grid {
 	for i := range kernel {
 		kernel[i] /= sum
 	}
-	nx, ny := g.NX, g.NY
-	workers = blurWorkers(workers, nx, ny, radius)
-	tmp := geom.NewGrid(nx, ny)
-	// Horizontal pass.
-	par.For(workers, ny, func(jlo, jhi int) {
-		for j := jlo; j < jhi; j++ {
-			for i := 0; i < nx; i++ {
-				acc := 0.0
-				for k := -radius; k <= radius; k++ {
-					ii := reflect(i+k, nx)
-					acc += kernel[k+radius] * g.At(ii, j)
-				}
-				tmp.Set(i, j, acc)
+	return kernel
+}
+
+// blurInto convolves g with kernel along rows into tmp, then along columns
+// into out (reflective boundaries); every cell of tmp and out is
+// overwritten. A serial blur runs the passes directly, so it allocates
+// nothing; only a fanned-out blur builds the per-pass closures.
+func blurInto(out, tmp, g *geom.Grid, kernel []float64, workers int) {
+	ny := g.NY
+	workers = blurWorkers(workers, g.NX, ny, len(kernel)/2)
+	if workers == 1 {
+		blurRows(tmp, g, kernel, 0, ny)
+		blurCols(out, tmp, kernel, 0, ny)
+		return
+	}
+	par.For(workers, ny, func(jlo, jhi int) { blurRows(tmp, g, kernel, jlo, jhi) })
+	par.For(workers, ny, func(jlo, jhi int) { blurCols(out, tmp, kernel, jlo, jhi) })
+}
+
+// blurRows is the horizontal pass over rows [jlo, jhi).
+func blurRows(dst, src *geom.Grid, kernel []float64, jlo, jhi int) {
+	nx, radius := src.NX, len(kernel)/2
+	for j := jlo; j < jhi; j++ {
+		for i := 0; i < nx; i++ {
+			acc := 0.0
+			for k := -radius; k <= radius; k++ {
+				ii := reflect(i+k, nx)
+				acc += kernel[k+radius] * src.At(ii, j)
 			}
+			dst.Set(i, j, acc)
 		}
-	})
-	out := geom.NewGrid(nx, ny)
-	// Vertical pass.
-	par.For(workers, ny, func(jlo, jhi int) {
-		for j := jlo; j < jhi; j++ {
-			for i := 0; i < nx; i++ {
-				acc := 0.0
-				for k := -radius; k <= radius; k++ {
-					jj := reflect(j+k, ny)
-					acc += kernel[k+radius] * tmp.At(i, jj)
-				}
-				out.Set(i, j, acc)
+	}
+}
+
+// blurCols is the vertical pass over output rows [jlo, jhi).
+func blurCols(dst, src *geom.Grid, kernel []float64, jlo, jhi int) {
+	nx, ny, radius := src.NX, src.NY, len(kernel)/2
+	for j := jlo; j < jhi; j++ {
+		for i := 0; i < nx; i++ {
+			acc := 0.0
+			for k := -radius; k <= radius; k++ {
+				jj := reflect(j+k, ny)
+				acc += kernel[k+radius] * src.At(i, jj)
 			}
+			dst.Set(i, j, acc)
 		}
-	})
-	return out
+	}
 }
 
 // blurWorkers bounds the convolution fan-out by the actual work volume

@@ -143,7 +143,10 @@ func scoreVolume(mods []int, levels uint32, cfg Config, dens []float64, globalMe
 // pickLevel selects the volume's voltage from its feasible set (a level
 // bitmask).
 func pickLevel(mods []int, levels uint32, cfg Config, dens []float64, globalMean float64) Level {
-	feas := feasibleLevels(levels, cfg.Levels)
+	// A level mask has at most 32 bits, so the feasible set fits on the
+	// stack; the voltage refresh runs inside the annealing loop.
+	var buf [32]Level
+	feas := feasibleLevels(buf[:0], levels, cfg.Levels)
 	if len(feas) == 0 {
 		// Fall back to the reference level.
 		for _, lv := range cfg.Levels {
@@ -284,15 +287,14 @@ func (asg *Assignment) InterVolumeDensityStdDev(l *floorplan.Layout) float64 {
 // --- helpers -----------------------------------------------------------------
 
 // feasibleLevels expands a level bitmask (bit k = levels[k] feasible) into
-// the corresponding levels, in level order.
-func feasibleLevels(mask uint32, levels []Level) []Level {
-	var out []Level
+// the corresponding levels, in level order, appending them to dst.
+func feasibleLevels(dst []Level, mask uint32, levels []Level) []Level {
 	for i := range levels {
 		if mask&(1<<i) != 0 {
-			out = append(out, levels[i])
+			dst = append(dst, levels[i])
 		}
 	}
-	return out
+	return dst
 }
 
 // lowestLevel returns the mask's level with the lowest power scale (nil for
@@ -304,8 +306,7 @@ func lowestLevel(mask uint32, levels []Level) *Level {
 			continue
 		}
 		if best == nil || levels[i].PowerScale < best.PowerScale {
-			lv := levels[i]
-			best = &lv
+			best = &levels[i]
 		}
 	}
 	return best

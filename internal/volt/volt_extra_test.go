@@ -96,7 +96,7 @@ func TestRepairRestoresTiming(t *testing.T) {
 func TestLevelsHelpers(t *testing.T) {
 	levels := Levels90nm()
 	const mask = 0b101 // 0.8 V and 1.2 V
-	feas := feasibleLevels(mask, levels)
+	feas := feasibleLevels(nil, mask, levels)
 	if len(feas) != 2 || feas[0].V != 0.8 || feas[1].V != 1.2 {
 		t.Fatalf("feasibleLevels: %+v", feas)
 	}

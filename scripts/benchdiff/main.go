@@ -1,6 +1,10 @@
 // Command benchdiff compares two BENCH_<rev>.json perf snapshots (as emitted
 // by scripts/bench.sh) and fails when a benchmark matching the filter
-// regressed beyond the tolerance — the ROADMAP's perf-trajectory gate.
+// regressed beyond the tolerance — the ROADMAP's perf-trajectory gate. Two
+// figures are gated per row, each against the same tolerance: ns/op, and the
+// allocs/op that -benchmem records in the row's extra field. Allocation
+// counts are nearly constant for a fixed seed and budget, so that half of
+// the gate catches allocation regressions without timing noise.
 //
 // Usage:
 //
@@ -18,9 +22,12 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"regexp"
 	"sort"
+	"strconv"
+	"strings"
 )
 
 type snapshot struct {
@@ -32,17 +39,23 @@ type snapshot struct {
 	Benchmarks []struct {
 		Benchmark string  `json:"benchmark"`
 		NsPerOp   float64 `json:"ns_per_op"`
+		Extra     string  `json:"extra"`
 	} `json:"benchmarks"`
 }
 
 var gomaxprocsSuffix = regexp.MustCompile(`-\d+$`)
 
-// compare writes one line per benchmark and returns the number of rows that
-// regressed beyond the tolerance. Rows present in only one snapshot are
-// skipped with a logged notice — never a failure — so new benchmarks can
-// land without a baseline and retired ones can drop out without breaking
-// the gate.
+// compare gates ns/op: see compareUnit.
 func compare(w io.Writer, oldRows, newRows map[string]float64, tolerance float64) int {
+	return compareUnit(w, "ns/op", oldRows, newRows, tolerance)
+}
+
+// compareUnit writes one line per benchmark and returns the number of rows
+// that grew beyond the tolerance in the given unit. Rows present in only one
+// snapshot are skipped with a logged notice — never a failure — so new
+// benchmarks can land without a baseline and retired ones can drop out
+// without breaking the gate. A zero baseline regresses on any growth.
+func compareUnit(w io.Writer, unit string, oldRows, newRows map[string]float64, tolerance float64) int {
 	names := make([]string, 0, len(oldRows))
 	for name := range oldRows {
 		names = append(names, name)
@@ -50,21 +63,27 @@ func compare(w io.Writer, oldRows, newRows map[string]float64, tolerance float64
 	sort.Strings(names)
 	regressions := 0
 	for _, name := range names {
-		oldNs := oldRows[name]
-		newNs, ok := newRows[name]
+		oldV := oldRows[name]
+		newV, ok := newRows[name]
 		if !ok {
 			//lint:besteffort diagnostic report to stdout; the exit code carries the verdict
 			fmt.Fprintf(w, "  MISSING  %-60s (in baseline only, skipped)\n", name)
 			continue
 		}
-		delta := (newNs - oldNs) / oldNs
+		delta := 0.0
+		switch {
+		case oldV > 0:
+			delta = (newV - oldV) / oldV
+		case newV > oldV:
+			delta = math.Inf(1)
+		}
 		mark := "ok"
 		if delta > tolerance {
 			mark = "REGRESSED"
 			regressions++
 		}
 		//lint:besteffort diagnostic report to stdout; the exit code carries the verdict
-		fmt.Fprintf(w, "  %-9s %-60s %12.0f -> %12.0f ns/op (%+.1f%%)\n", mark, name, oldNs, newNs, delta*100)
+		fmt.Fprintf(w, "  %-9s %-60s %12.0f -> %12.0f %s (%+.1f%%)\n", mark, name, oldV, newV, unit, delta*100)
 	}
 	names = names[:0]
 	for name := range newRows {
@@ -75,35 +94,56 @@ func compare(w io.Writer, oldRows, newRows map[string]float64, tolerance float64
 	sort.Strings(names)
 	for _, name := range names {
 		//lint:besteffort diagnostic report to stdout; the exit code carries the verdict
-		fmt.Fprintf(w, "  NEW      %-60s %12.0f ns/op (no baseline, skipped)\n", name, newRows[name])
+		fmt.Fprintf(w, "  NEW      %-60s %12.0f %s (no baseline, skipped)\n", name, newRows[name], unit)
 	}
 	return regressions
 }
 
-func load(path string, filter *regexp.Regexp) (snapshot, map[string]float64, error) {
-	var s snapshot
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return s, nil, err
-	}
-	if err := json.Unmarshal(data, &s); err != nil {
-		return s, nil, fmt.Errorf("%s: %w", path, err)
-	}
-	rows := make(map[string]float64)
-	for _, b := range s.Benchmarks {
-		name := gomaxprocsSuffix.ReplaceAllString(b.Benchmark, "")
-		if filter.MatchString(name) && b.NsPerOp > 0 {
-			rows[name] = b.NsPerOp
+// extraValue returns the value recorded for unit in a row's extra field
+// (bench.sh keeps the benchmark line's "<value> <unit>" pairs there), or
+// false when the row does not report that unit.
+func extraValue(extra, unit string) (float64, bool) {
+	f := strings.Fields(extra)
+	for i := 1; i < len(f); i++ {
+		if f[i] == unit {
+			v, err := strconv.ParseFloat(f[i-1], 64)
+			return v, err == nil
 		}
 	}
-	return s, rows, nil
+	return 0, false
+}
+
+// load reads a snapshot and returns its filtered ns/op and allocs/op rows.
+func load(path string, filter *regexp.Regexp) (s snapshot, ns, allocs map[string]float64, err error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return s, nil, nil, err
+	}
+	if err := json.Unmarshal(data, &s); err != nil {
+		return s, nil, nil, fmt.Errorf("%s: %w", path, err)
+	}
+	ns = make(map[string]float64)
+	allocs = make(map[string]float64)
+	for _, b := range s.Benchmarks {
+		name := gomaxprocsSuffix.ReplaceAllString(b.Benchmark, "")
+		if !filter.MatchString(name) {
+			continue
+		}
+		if b.NsPerOp > 0 {
+			ns[name] = b.NsPerOp
+		}
+		if v, ok := extraValue(b.Extra, "allocs/op"); ok {
+			allocs[name] = v
+		}
+	}
+	return s, ns, allocs, nil
 }
 
 func main() {
 	oldPath := flag.String("old", "", "baseline BENCH_<rev>.json (committed snapshot)")
 	newPath := flag.String("new", "", "freshly emitted BENCH_<rev>.json")
 	filterStr := flag.String("filter", "BenchmarkAnnealLoop", "regexp selecting the gated benchmarks")
-	tolerance := flag.Float64("tolerance", 0.10, "maximum allowed relative slowdown (0.10 = +10%)")
+	tolerance := flag.Float64("tolerance", 0.10, "maximum allowed relative growth of ns/op and of allocs/op (0.10 = +10%)")
 	flag.Parse()
 	if *oldPath == "" || *newPath == "" {
 		fmt.Fprintln(os.Stderr, "benchdiff: -old and -new are required")
@@ -114,12 +154,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchdiff: bad -filter: %v\n", err)
 		os.Exit(2)
 	}
-	oldSnap, oldRows, err := load(*oldPath, filter)
+	oldSnap, oldRows, oldAllocs, err := load(*oldPath, filter)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
 		os.Exit(2)
 	}
-	newSnap, newRows, err := load(*newPath, filter)
+	newSnap, newRows, newAllocs, err := load(*newPath, filter)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchdiff: %v\n", err)
 		os.Exit(2)
@@ -129,9 +169,10 @@ func main() {
 		oldSnap.Meta.GitRev, oldSnap.Meta.Nproc, newSnap.Meta.GitRev, newSnap.Meta.Nproc,
 		*filterStr, *tolerance*100)
 
-	regressions := compare(os.Stdout, oldRows, newRows, *tolerance)
+	regressions := compare(os.Stdout, oldRows, newRows, *tolerance) +
+		compareUnit(os.Stdout, "allocs/op", oldAllocs, newAllocs, *tolerance)
 	if regressions > 0 {
-		fmt.Fprintf(os.Stderr, "benchdiff: %d benchmark(s) regressed beyond +%.0f%%\n",
+		fmt.Fprintf(os.Stderr, "benchdiff: %d benchmark figure(s) regressed beyond +%.0f%%\n",
 			regressions, *tolerance*100)
 		os.Exit(1)
 	}
