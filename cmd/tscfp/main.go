@@ -41,7 +41,6 @@ func main() {
 		protect     = flag.Bool("protect", false, "post-process only the sensitive modules (Sec. 7.1 adaptation)")
 		par         = flag.Int("parallelism", 0, "thermal solver/estimator worker goroutines per run (0 = one per CPU, 1 = serial; results identical)")
 		replicas    = flag.Int("replicas", 1, "tempered annealing chains per run (replica exchange; >= 2 is a different deterministic walk than serial)")
-		speculate   = flag.Int("speculate", 1, "candidate moves evaluated concurrently per annealing step (>= 2 is a different deterministic walk than serial)")
 		churnStats  = flag.Bool("churn-stats", false, "surface the exact-diff repack churn counters: print a per-run pack/fallback summary and include the pack_* fields in -json output")
 		checkCost   = flag.Bool("check-cost", false, "cross-check every incremental cost (and voltage refresh, entropy patch) against a full recompute (debug; very slow)")
 		showVersion = flag.Bool("version", false, "print the build version and exit")
@@ -72,8 +71,8 @@ func main() {
 		design.Name(), design.NumModules(), design.HardModules(), design.SoftModules(),
 		design.NumNets(), design.NumTerminals(), ow*oh/1e6, design.TotalPower())
 	fmt.Printf("mode %s, %d run(s), %d SA iterations, %dx%d grid\n", m, *runs, *iters, *grid, *grid)
-	if *replicas > 1 || *speculate > 1 {
-		fmt.Printf("parallel anneal: %d replica(s), speculation width %d\n", *replicas, *speculate)
+	if *replicas > 1 {
+		fmt.Printf("parallel anneal: %d replicas\n", *replicas)
 	}
 	fmt.Println()
 
@@ -83,7 +82,6 @@ func main() {
 		tscfp.WithActivitySamples(*samples),
 		tscfp.WithParallelism(*par),
 		tscfp.WithReplicas(*replicas),
-		tscfp.WithSpeculation(*speculate),
 		tscfp.WithCostCrossCheck(*checkCost),
 		tscfp.WithChurnStats(*churnStats),
 	}

@@ -60,11 +60,10 @@ func goldenCases() []struct {
 			tscfp.WithGridN(16),
 		}},
 		// The parallel annealer's determinism contract: 3 tempered replicas
-		// with 2-wide speculation walk a different (documented) search than
-		// serial, but a fixed (seed, replicas, speculation) triple must
-		// reproduce this fixture byte-for-byte on any GOMAXPROCS — CI runs
-		// this package at -cpu 1,4,8 under -race, so the same fixture bytes
-		// pin all three schedules.
+		// walk a different (documented) search than serial, but a fixed
+		// (seed, replicas) pair must reproduce this fixture byte-for-byte on
+		// any GOMAXPROCS — CI runs this package at -cpu 1,4,8 under -race,
+		// so the same fixture bytes pin all three schedules.
 		{"n100-tsc-seed7-repl3", []tscfp.Option{
 			tscfp.WithMode(tscfp.TSCAware),
 			tscfp.WithSeed(7),
@@ -73,20 +72,19 @@ func goldenCases() []struct {
 			tscfp.WithActivitySamples(6),
 			tscfp.WithMaxDummyGroups(4),
 			tscfp.WithReplicas(3),
-			tscfp.WithSpeculation(2),
 		}},
 	}
 }
 
 // TestGoldenReplicasOffIdentity pins the flow-identity half of the parallel
-// annealing contract end to end: WithReplicas(1) / WithSpeculation(1) route
-// through the untouched serial path and must reproduce the SERIAL golden
-// fixture byte-for-byte — not merely match another run of themselves.
+// annealing contract end to end: WithReplicas(1) routes through the
+// untouched serial path and must reproduce the SERIAL golden fixture
+// byte-for-byte — not merely match another run of itself.
 func TestGoldenReplicasOffIdentity(t *testing.T) {
 	design := tscfp.MustBenchmark("n100")
 	serial := goldenCases()[0] // n100-tsc-seed7
 	opts := append(append([]tscfp.Option{}, serial.opts...),
-		tscfp.WithReplicas(1), tscfp.WithSpeculation(1))
+		tscfp.WithReplicas(1))
 	res, err := tscfp.Run(t.Context(), design, opts...)
 	if err != nil {
 		t.Fatal(err)

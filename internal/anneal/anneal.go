@@ -15,7 +15,8 @@ import (
 
 // Problem is the state the annealer optimizes. Cost must reflect the current
 // state; Perturb must mutate the state and return an undo closure that
-// restores it exactly.
+// restores it exactly. The annealer calls them in a fixed order: every
+// Perturb is followed by Cost or by its undo before the next Perturb.
 type Problem interface {
 	Cost() float64
 	Perturb(rng *rand.Rand) (undo func())
@@ -134,8 +135,36 @@ type Result struct {
 func Run(p Problem, opts Options, rng *rand.Rand) Result {
 	opts.defaults()
 
-	// Calibrate the temperature from |ΔC| along a random walk.
-	cur := p.Cost()
+	cur, temp := calibrate(p, rng, &opts)
+
+	res := Result{StartTemp: temp, BestCost: cur}
+	if opts.OnBest != nil {
+		opts.OnBest(cur)
+	}
+	for it := 0; it < opts.Iterations; it++ {
+		if opts.Ctx != nil && opts.Ctx.Err() != nil {
+			res.Cancelled = true
+			break
+		}
+		cur = step(p, rng, cur, temp, &res, opts.OnBest)
+		if (it+1)%opts.ChainLength == 0 {
+			temp *= opts.Alpha
+			if opts.OnChain != nil {
+				opts.OnChain(it+1, opts.Iterations, res.BestCost)
+			}
+		}
+		res.Iterations++
+	}
+	res.FinalCost = cur
+	res.FinalTemp = temp
+	return res
+}
+
+// calibrate returns the current cost and the start temperature at which a
+// move of the mean |ΔC| along a random walk of CalibrationMoves is accepted
+// with probability InitAcceptProb. Every walked move is undone.
+func calibrate(p Problem, rng *rand.Rand, opts *Options) (cur, temp float64) {
+	cur = p.Cost()
 	meanDelta := 0.0
 	walked := 0
 	for i := 0; i < opts.CalibrationMoves; i++ {
@@ -154,50 +183,35 @@ func Run(p Problem, opts Options, rng *rand.Rand) Result {
 	if meanDelta <= 0 {
 		meanDelta = math.Abs(cur)*0.01 + 1e-12
 	}
-	temp := -meanDelta / math.Log(opts.InitAcceptProb)
+	return cur, -meanDelta / math.Log(opts.InitAcceptProb)
+}
 
-	res := Result{StartTemp: temp, BestCost: cur}
-	if opts.OnBest != nil {
-		opts.OnBest(cur)
+// step proposes one move from current cost cur at temperature temp and
+// returns the new current cost. A downhill move is always accepted; an
+// uphill one draws from rng and is accepted with the Metropolis probability,
+// otherwise undone. Accepts, uphill accepts and a new best (which fires
+// onBest when non-nil) are recorded in res.
+func step(p Problem, rng *rand.Rand, cur, temp float64, res *Result, onBest func(float64)) float64 {
+	undo := mustPerturb(p, rng)
+	c := p.Cost()
+	delta := c - cur
+	accept := delta <= 0
+	if !accept && rng.Float64() < math.Exp(-delta/temp) {
+		accept = true
+		res.Uphill++
 	}
-	for it := 0; it < opts.Iterations; it++ {
-		if opts.Ctx != nil && opts.Ctx.Err() != nil {
-			res.Cancelled = true
-			break
-		}
-		undo := mustPerturb(p, rng)
-		c := p.Cost()
-		delta := c - cur
-		accept := delta <= 0
-		if !accept {
-			if rng.Float64() < math.Exp(-delta/temp) {
-				accept = true
-				res.Uphill++
-			}
-		}
-		if accept {
-			cur = c
-			res.Accepted++
-			if c < res.BestCost {
-				res.BestCost = c
-				if opts.OnBest != nil {
-					opts.OnBest(c)
-				}
-			}
-		} else {
-			undo()
-		}
-		if (it+1)%opts.ChainLength == 0 {
-			temp *= opts.Alpha
-			if opts.OnChain != nil {
-				opts.OnChain(it+1, opts.Iterations, res.BestCost)
-			}
-		}
-		res.Iterations++
+	if !accept {
+		undo()
+		return cur
 	}
-	res.FinalCost = cur
-	res.FinalTemp = temp
-	return res
+	res.Accepted++
+	if c < res.BestCost {
+		res.BestCost = c
+		if onBest != nil {
+			onBest(c)
+		}
+	}
+	return c
 }
 
 func mustPerturb(p Problem, rng *rand.Rand) func() {

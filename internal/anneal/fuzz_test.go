@@ -7,19 +7,17 @@ import (
 )
 
 // FuzzAnnealReplicaSwap drives RunParallel through randomized temperature
-// ladders, swap cadences, and replica/speculation shapes on the incremental
-// toy problem, and checks the per-replica journal invariants at every swap
-// barrier: each copy's incrementally patched cost must match a from-scratch
-// recompute within 1e-9 relative, and all speculative copies of a replica
-// must stay byte-identical in state, cached cost, and evaluation count.
+// ladders, swap cadences, and replica counts on the incremental toy problem,
+// and checks the per-replica journal invariant at every swap barrier: each
+// replica's incrementally patched cost must match a from-scratch recompute
+// within 1e-9 relative, with its diff bookkeeping byte-exact.
 func FuzzAnnealReplicaSwap(f *testing.F) {
-	f.Add(int64(1), int64(2), int64(1), int64(400), int64(0), 1.5)
-	f.Add(int64(7), int64(4), int64(3), int64(900), int64(35), 2.25)
-	f.Add(int64(42), int64(3), int64(2), int64(777), int64(120), 1.05)
+	f.Add(int64(1), int64(2), int64(400), int64(0), 1.5)
+	f.Add(int64(7), int64(4), int64(900), int64(35), 2.25)
+	f.Add(int64(42), int64(3), int64(777), int64(120), 1.05)
 
-	f.Fuzz(func(t *testing.T, seed, k, m, iters, swapEvery int64, ladder float64) {
+	f.Fuzz(func(t *testing.T, seed, k, iters, swapEvery int64, ladder float64) {
 		K := int(mod(k, 4)) + 2 // 2..5 replicas
-		M := int(mod(m, 3)) + 1 // 1..3 speculative copies
 		budget := int(mod(iters, 1500)) + 50
 		se := int(mod(swapEvery, 200)) // 0 picks the chain-multiple default
 		if math.IsNaN(ladder) || math.IsInf(ladder, 0) || ladder < 0.2 || ladder > 8 {
@@ -27,50 +25,17 @@ func FuzzAnnealReplicaSwap(f *testing.F) {
 		}
 
 		reps := make([]Replica, K)
-		sums := make([][]*incrSum, K)
+		sums := make([]*incrSum, K)
 		root := rand.New(rand.NewSource(seed))
 		for r := range reps {
 			rng := rand.New(rand.NewSource(root.Int63()))
-			reps[r], sums[r] = specReplica(9, M, rng)
+			sums[r] = newIncrSum(9, rng)
+			reps[r] = Replica{Problem: sums[r], RNG: rng}
 		}
 
 		check := func(when string) {
-			for r := range sums {
-				primary := sums[r][0]
-				primary.checkInvariant(t, when)
-				for c := 1; c < len(sums[r]); c++ {
-					cp := sums[r][c]
-					cp.checkInvariant(t, when)
-					for i := range cp.x {
-						if cp.x[i] != primary.x[i] {
-							t.Fatalf("%s: replica %d copy %d state diverged at %d", when, r, c, i)
-						}
-					}
-					if cp.cached != primary.cached || cp.evals != primary.evals {
-						t.Fatalf("%s: replica %d copy %d out of lockstep (cached %v/%v, evals %d/%d)",
-							when, r, c, cp.cached, primary.cached, cp.evals, primary.evals)
-					}
-					// Diff-bookkeeping lockstep: outside either copy's
-					// pending set the mirrors must agree byte-exactly.
-					// A committed-winner replay legitimately leaves the
-					// replayed index pending on loser copies (mirror
-					// sync deferred to the next Cost), so those indices
-					// are exempt; everything else diverging means a
-					// freeze/rollback path smeared the bookkeeping.
-					pend := make(map[int]bool, len(cp.pending)+len(primary.pending))
-					for _, i := range cp.pending {
-						pend[i] = true
-					}
-					for _, i := range primary.pending {
-						pend[i] = true
-					}
-					for i := range cp.mirror {
-						if !pend[i] && cp.mirror[i] != primary.mirror[i] {
-							t.Fatalf("%s: replica %d copy %d mirror diverged at %d (%v vs %v)",
-								when, r, c, i, cp.mirror[i], primary.mirror[i])
-						}
-					}
-				}
+			for _, s := range sums {
+				s.checkInvariant(t, when)
 			}
 		}
 

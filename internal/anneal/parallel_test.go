@@ -20,15 +20,13 @@ type incrSum struct {
 	x      []float64
 	target []float64
 	cached float64
-	// evals counts Cost calls, mirroring the evaluator's stride counter that
-	// speculative copies must keep in lockstep.
+	// evals counts Cost calls, mirroring the evaluator's stride counter.
 	evals int
 	// mirror/pending model the evaluator's exact-diff bookkeeping: mirror is
 	// the state as of the last Cost (the evaluator's changed-set mirror),
 	// pending the indices perturbed since then (the evaluator's pending
-	// move, which must survive the undo of a move it was folded into — the
-	// speculative loser-replay protocol). Cost absorbs pending into mirror;
-	// outside pending, mirror must stay byte-identical to x.
+	// move). Cost absorbs pending into mirror; outside pending, mirror must
+	// stay byte-identical to x.
 	mirror  []float64
 	pending []int
 }
@@ -42,17 +40,6 @@ func newIncrSum(n int, rng *rand.Rand) *incrSum {
 	p.cached = p.FullCost()
 	p.mirror = append([]float64(nil), p.x...)
 	return p
-}
-
-func (p *incrSum) Clone() *incrSum {
-	return &incrSum{
-		x:       append([]float64(nil), p.x...),
-		target:  append([]float64(nil), p.target...),
-		cached:  p.cached,
-		evals:   p.evals,
-		mirror:  append([]float64(nil), p.mirror...),
-		pending: append([]int(nil), p.pending...),
-	}
 }
 
 func (p *incrSum) FullCost() float64 {
@@ -74,10 +61,12 @@ func (p *incrSum) Cost() float64 {
 }
 
 func (p *incrSum) Perturb(rng *rand.Rand) func() {
+	if len(p.pending) > 0 {
+		panic("incrSum: Perturb while a move is pending")
+	}
 	i := rng.Intn(len(p.x))
 	step := (rng.Float64()*2 - 1) * 0.5
 	oldX, oldCached, oldMirror := p.x[i], p.cached, p.mirror[i]
-	pendLen := len(p.pending)
 	od := p.x[i] - p.target[i]
 	p.x[i] += step
 	nd := p.x[i] - p.target[i]
@@ -86,11 +75,10 @@ func (p *incrSum) Perturb(rng *rand.Rand) func() {
 	return func() {
 		p.x[i], p.cached = oldX, oldCached
 		// Exact-diff rollback: restore the mirror entry (in case a Cost
-		// absorbed this move) and truncate pending back to the fold point —
-		// a previously pending move survives this undo, exactly like the
-		// evaluator's journal rollback.
+		// absorbed this move) and drop the move from pending, exactly like
+		// the evaluator's journal rollback.
 		p.mirror[i] = oldMirror
-		p.pending = p.pending[:pendLen]
+		p.pending = p.pending[:0]
 	}
 }
 
@@ -104,7 +92,7 @@ func (p *incrSum) checkInvariant(t *testing.T, label string) {
 	}
 	// Diff bookkeeping must be byte-exact, not epsilon-close: outside the
 	// pending set the mirror is the state the last Cost saw, and the
-	// harness's freeze/rollback/replay paths must never smear it.
+	// harness's rollback path must never smear it.
 	pend := make(map[int]bool, len(p.pending))
 	for _, i := range p.pending {
 		pend[i] = true
@@ -117,23 +105,9 @@ func (p *incrSum) checkInvariant(t *testing.T, label string) {
 	}
 }
 
-// specReplica builds one replica with m synchronized copies of a fresh
-// problem, drawing everything from rng.
-func specReplica(n, m int, rng *rand.Rand) (Replica, []*incrSum) {
-	base := newIncrSum(n, rng)
-	sums := []*incrSum{base}
-	probs := []Problem{base}
-	for k := 1; k < m; k++ {
-		c := base.Clone()
-		sums = append(sums, c)
-		probs = append(probs, c)
-	}
-	return Replica{Problems: probs, RNG: rng}, sums
-}
-
 // TestRunParallelSingleMatchesRun pins the serial-equivalence contract: one
-// replica with one problem copy walks bit-identically to Run on the same RNG
-// stream — identical Result fields and identical final state.
+// replica walks bit-identically to Run on the same RNG stream — identical
+// Result fields and identical final state.
 func TestRunParallelSingleMatchesRun(t *testing.T) {
 	mk := func() *incrSum { return newIncrSum(8, rand.New(rand.NewSource(11))) }
 	opts := Options{Iterations: 2000}
@@ -143,7 +117,7 @@ func TestRunParallelSingleMatchesRun(t *testing.T) {
 
 	p2 := mk()
 	got := RunParallel(
-		[]Replica{{Problems: []Problem{p2}, RNG: rand.New(rand.NewSource(42))}},
+		[]Replica{{Problem: p2, RNG: rand.New(rand.NewSource(42))}},
 		ParallelOptions{Schedule: opts},
 	)
 	if got.Replicas[0] != want {
@@ -152,40 +126,40 @@ func TestRunParallelSingleMatchesRun(t *testing.T) {
 	if got.Best != 0 || got.BestCost != want.BestCost {
 		t.Fatalf("best bookkeeping diverged: Best=%d BestCost=%v want %v", got.Best, got.BestCost, want.BestCost)
 	}
-	if got.SpecBatches != 0 || got.SwapAttempts != 0 {
-		t.Fatalf("single serial replica reported parallel work: %+v", got)
+	if got.SwapAttempts != 0 {
+		t.Fatalf("single replica attempted swaps: %+v", got)
 	}
 	if !reflect.DeepEqual(p1.x, p2.x) || p1.cached != p2.cached || p1.evals != p2.evals {
 		t.Fatal("final problem state diverged from the serial walk")
 	}
 }
 
-// buildFleet constructs K replicas × M copies deterministically from a base
-// seed, for the determinism tests.
-func buildFleet(k, m int) ([]Replica, [][]*incrSum) {
+// buildFleet constructs K replicas deterministically from a base seed, for
+// the determinism tests.
+func buildFleet(k int) ([]Replica, []*incrSum) {
 	reps := make([]Replica, k)
-	sums := make([][]*incrSum, k)
+	sums := make([]*incrSum, k)
 	for r := range reps {
 		rng := rand.New(rand.NewSource(int64(100 + r)))
-		reps[r], sums[r] = specReplica(12, m, rng)
+		sums[r] = newIncrSum(12, rng)
+		reps[r] = Replica{Problem: sums[r], RNG: rng}
 	}
 	return reps, sums
 }
 
 // TestRunParallelDeterministicAcrossGOMAXPROCS is the engine half of the
-// determinism contract: fixed seeds and a fixed replica/speculation shape
-// give an identical ParallelResult and identical final states for any
-// GOMAXPROCS.
+// determinism contract: fixed seeds and a fixed replica count give an
+// identical ParallelResult and identical final states for any GOMAXPROCS.
 func TestRunParallelDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	run := func() (ParallelResult, [][]float64) {
-		reps, sums := buildFleet(4, 3)
+		reps, sums := buildFleet(4)
 		res := RunParallel(reps, ParallelOptions{
 			Schedule: Options{Iterations: 600},
 			SwapSeed: 9,
 		})
 		states := make([][]float64, len(sums))
 		for r := range sums {
-			states[r] = append([]float64(nil), sums[r][0].x...)
+			states[r] = append([]float64(nil), sums[r].x...)
 		}
 		return res, states
 	}
@@ -209,48 +183,10 @@ func TestRunParallelDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestSpeculationKeepsCopiesInLockstep drives one replica with 4 speculative
-// copies through a budget that is not a multiple of the batch width (forcing
-// clamped batches at chain boundaries) and asserts all copies end
-// byte-identical — state, patched cost, and evaluation counters.
-func TestSpeculationKeepsCopiesInLockstep(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	rep, sums := specReplica(10, 4, rng)
-	const budget = 777
-	res := RunParallel([]Replica{rep}, ParallelOptions{Schedule: Options{Iterations: budget}})
-
-	if got := res.Replicas[0].Iterations; got != budget {
-		t.Fatalf("consumed %d iterations, want the full budget %d", got, budget)
-	}
-	if res.SpecBatches == 0 || res.SpecCommits == 0 {
-		t.Fatalf("speculation did no work: %+v", res)
-	}
-	if res.SpecDiscarded != budget-res.SpecCommits {
-		t.Fatalf("discard accounting off: %d discarded, %d commits, budget %d",
-			res.SpecDiscarded, res.SpecCommits, budget)
-	}
-	if res.Replicas[0].Accepted != res.SpecCommits {
-		t.Fatalf("accepted %d != committed batches %d", res.Replicas[0].Accepted, res.SpecCommits)
-	}
-	primary := sums[0]
-	primary.checkInvariant(t, "primary")
-	for k, c := range sums[1:] {
-		if !reflect.DeepEqual(c.x, primary.x) {
-			t.Fatalf("copy %d state diverged from primary", k+1)
-		}
-		if c.cached != primary.cached {
-			t.Fatalf("copy %d cached cost %v != primary %v", k+1, c.cached, primary.cached)
-		}
-		if c.evals != primary.evals {
-			t.Fatalf("copy %d saw %d evals, primary %d — stride counters out of lockstep", k+1, c.evals, primary.evals)
-		}
-	}
-}
-
 // TestLadderAndSwapAccounting checks the temperature ladder spacing and the
 // swap bookkeeping on a 4-replica run.
 func TestLadderAndSwapAccounting(t *testing.T) {
-	reps, sums := buildFleet(4, 1)
+	reps, sums := buildFleet(4)
 	res := RunParallel(reps, ParallelOptions{
 		Schedule:     Options{Iterations: 2000},
 		LadderFactor: 2,
@@ -278,14 +214,14 @@ func TestLadderAndSwapAccounting(t *testing.T) {
 		t.Fatalf("best-of pick Best=%d BestCost=%v, want %d/%v", res.Best, res.BestCost, wantBest, wantCost)
 	}
 	for r := range sums {
-		sums[r][0].checkInvariant(t, "replica")
+		sums[r].checkInvariant(t, "replica")
 	}
 }
 
 // TestOnStrideProgress checks the barrier progress hook: done advances
 // monotonically to the budget and the reported best never regresses.
 func TestOnStrideProgress(t *testing.T) {
-	reps, _ := buildFleet(3, 2)
+	reps, _ := buildFleet(3)
 	lastDone, lastBest := 0, math.Inf(1)
 	calls := 0
 	res := RunParallel(reps, ParallelOptions{
@@ -336,7 +272,7 @@ func TestRunParallelPreCancelled(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	reps, _ := buildFleet(3, 2)
+	reps, _ := buildFleet(3)
 	res := RunParallel(reps, ParallelOptions{Schedule: Options{Iterations: 5000, Ctx: ctx}})
 	if !res.Cancelled {
 		t.Fatal("pre-cancelled run not marked Cancelled")
@@ -356,7 +292,7 @@ func TestRunParallelCancelAtSwapBarrier(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	reps, _ := buildFleet(3, 1)
+	reps, _ := buildFleet(3)
 	strides := 0
 	res := RunParallel(reps, ParallelOptions{
 		Schedule: Options{Iterations: 100000, Ctx: ctx},
@@ -378,8 +314,7 @@ func TestRunParallelCancelAtSwapBarrier(t *testing.T) {
 }
 
 // cancellingProblem cancels its context after a fixed number of Cost calls,
-// driving cancellation from inside a replica stride (and, with speculation,
-// from inside a candidate batch).
+// driving cancellation from inside a replica stride.
 type cancellingProblem struct {
 	*incrSum
 	cancel func()
@@ -401,15 +336,13 @@ func TestRunParallelCancelMidStride(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	reps, _ := buildFleet(3, 2)
+	reps, _ := buildFleet(3)
 	cp := &cancellingProblem{
 		incrSum: newIncrSum(10, rand.New(rand.NewSource(77))),
 		cancel:  cancel,
 		after:   300,
 	}
-	reps[0].Problems[0] = cp
-	// Re-sync the speculative copy with the wrapped primary's state.
-	reps[0].Problems[1] = cp.incrSum.Clone()
+	reps[0].Problem = cp
 	res := RunParallel(reps, ParallelOptions{Schedule: Options{Iterations: 100000, Ctx: ctx}})
 	if !res.Cancelled {
 		t.Fatal("mid-stride cancellation not marked Cancelled")
@@ -439,11 +372,11 @@ func TestRunParallelPanicsOnMisuse(t *testing.T) {
 		RunParallel([]Replica{{RNG: rand.New(rand.NewSource(1))}}, ParallelOptions{})
 	})
 	expectPanic("no-rng", func() {
-		RunParallel([]Replica{{Problems: []Problem{&flat{}}}}, ParallelOptions{})
+		RunParallel([]Replica{{Problem: &flat{}}}, ParallelOptions{})
 	})
 	expectPanic("schedule-hooks", func() {
 		RunParallel(
-			[]Replica{{Problems: []Problem{&flat{}}, RNG: rand.New(rand.NewSource(1))}},
+			[]Replica{{Problem: &flat{}, RNG: rand.New(rand.NewSource(1))}},
 			ParallelOptions{Schedule: Options{OnBest: func(float64) {}}},
 		)
 	})
@@ -457,7 +390,7 @@ func TestRunParallelFindsMinimum(t *testing.T) {
 	for r := range reps {
 		rng := rand.New(rand.NewSource(int64(10 + r)))
 		q := &quadratic{x: make([]float64, 8), target: 3, step: 0.5}
-		reps[r] = Replica{Problems: []Problem{q}, RNG: rng}
+		reps[r] = Replica{Problem: q, RNG: rng}
 	}
 	res := RunParallel(reps, ParallelOptions{Schedule: Options{Iterations: 20000}})
 	if res.BestCost > 0.5 {

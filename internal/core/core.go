@@ -152,19 +152,13 @@ type Config struct {
 	// Replicas runs K tempered annealing chains (parallel tempering): each
 	// replica anneals on its own RNG stream at its rung of a geometric
 	// temperature ladder, neighbours periodically swap temperatures by the
-	// Metropolis criterion, and the best replica's floorplan feeds the rest
-	// of the flow. 0 and 1 select the single-chain serial path, which is
-	// bit-identical to pre-replica releases at a fixed seed. K >= 2 is its
-	// own deterministic contract: a fixed (Seed, Replicas, Speculation)
-	// triple yields a byte-identical Result for any GOMAXPROCS, but the
-	// result differs from the serial walk.
+	// Metropolis criterion, and the best replica's floorplan feeds the
+	// rest of the flow. 0 and 1 select the single-chain serial path, which
+	// is bit-identical to pre-replica releases at a fixed seed. K >= 2 is
+	// its own deterministic contract: a fixed (Seed, Replicas) pair yields
+	// a byte-identical Result for any GOMAXPROCS, but the result differs
+	// from the serial walk.
 	Replicas int
-	// Speculation evaluates M candidate moves per annealing step
-	// concurrently, each on its own evaluator copy, and commits the first
-	// acceptance in candidate order. 0 and 1 select the serial move loop.
-	// Like Replicas, M >= 2 keeps the GOMAXPROCS-independence guarantee but
-	// is a different (still deterministic) walk than serial.
-	Speculation int
 	// FullRecompute selects the full-recompute evaluator (cost.go), which
 	// packs the whole floorplan and recomputes every cost term from scratch
 	// on every move. The zero value selects the incremental evaluator
@@ -255,11 +249,11 @@ func (c *Config) defaults() {
 	if c.VoltTargetFactor == 0 {
 		c.VoltTargetFactor = 1.15
 	}
-	// Replica/speculation workers are the annealing loop's own use of the
-	// cores; defaulting the thermal fan-out to serial inside each worker
-	// avoids oversubscribing GOMAXPROCS with nested pools. An explicit
-	// Parallelism still wins.
-	if (c.Replicas > 1 || c.Speculation > 1) && c.Parallelism == 0 {
+	// Replica workers are the annealing loop's own use of the cores;
+	// defaulting the thermal fan-out to serial inside each worker avoids
+	// oversubscribing GOMAXPROCS with nested pools. An explicit Parallelism
+	// still wins.
+	if c.Replicas > 1 && c.Parallelism == 0 {
 		c.Parallelism = 1
 	}
 }
@@ -331,16 +325,6 @@ type EvalStats struct {
 	// diagnostic only: the tscfp wire schema does not carry it, so serial
 	// result encodings are unchanged.
 	AnnealBestCost float64
-	// SpecWorkers records the speculative-evaluation width M whenever the
-	// parallel annealer ran (1 for a replica-only run, 0 on the serial path);
-	// SpecBatches counts candidate batches evaluated, SpecCommits the
-	// batches that committed an acceptance, and SpecDiscarded the candidate
-	// evaluations thrown away (losers of a committed batch plus all
-	// candidates of batches with no acceptance).
-	SpecWorkers   int
-	SpecBatches   int
-	SpecCommits   int
-	SpecDiscarded int
 	// PackMoves counts moves applied through the diff-producing repack
 	// (PackDieFromDiff); PackDieDiffs the per-die diffs they ran (a move
 	// touches one or two dies); PackEarlyExits the diffs that stopped early

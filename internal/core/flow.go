@@ -49,12 +49,12 @@ func RunContext(ctx context.Context, des *netlist.Design, cfg Config) (*Result, 
 	thermCfg := thermal.DefaultConfig(cfg.GridN, cfg.GridN, des.OutlineW, des.OutlineH, des.Dies)
 	fast := thermal.CalibrateFastWorkers(thermCfg, cfg.Parallelism)
 
-	// Annealing: the serial chain, or — when replica exchange or
-	// speculative evaluation is requested — the parallel annealer. The
-	// serial path is untouched so existing seeds reproduce byte-identically.
+	// Annealing: the serial chain, or — when replica exchange is requested —
+	// the parallel annealer. The serial path is untouched so existing seeds
+	// reproduce byte-identically.
 	var best *floorplan.Floorplan
 	var evStats EvalStats
-	if cfg.Replicas > 1 || cfg.Speculation > 1 {
+	if cfg.Replicas > 1 {
 		cfg.emit(ProgressEvent{Stage: StageAnneal, Total: cfg.SAIterations})
 		b, stats, err := runParallelAnneal(ctx, des, &cfg, rng, fast)
 		if err != nil {

@@ -292,23 +292,10 @@ func newIncrState() *incrState { return &incrState{} }
 // and returns an undo closure that reverts both the floorplan and the
 // caches.
 func (ic *incrState) perturb(e *evaluator, rng *rand.Rand) func() {
-	// A still-pending move (applied to the floorplan without an intervening
-	// Cost — the speculative annealer's committed-winner replay does this on
-	// every losing copy) folds into the new move so no staleness can slip
-	// through. It must also SURVIVE an undo of the new move: the undo
-	// closure reverts only this Perturb's floorplan mutation, so the folded
-	// move is still applied to the floorplan but not to the caches —
-	// dropping it on rollback would leave the cached layout permanently
-	// stale on its dies (a latent bug the old suffix-pessimistic repack
-	// partially masked by over-rewriting; the exact-diff contract and its
-	// zero-tolerance cross-check require the protocol to be airtight).
-	prev := ic.pending
-	mv, undo := e.fp.PerturbMove(rng)
-	if prev != nil {
-		for i, d := range prev.Dies {
-			mv.Touch(d, prev.Starts[i])
-		}
+	if ic.pending != nil {
+		panic("core: Perturb while a move is pending (each Perturb needs a Cost or undo first)")
 	}
+	mv, undo := e.fp.PerturbMove(rng)
 	// The previous move's journal is superseded: once the annealer moves
 	// on without undoing, that move is committed and its pre-move grid
 	// snapshots and pack-diff journals can be recycled.
@@ -330,9 +317,6 @@ func (ic *incrState) perturb(e *evaluator, rng *rand.Rand) func() {
 	return func() {
 		undo()
 		ic.rollback()
-		// The folded-in move survives the undo: it is still applied to the
-		// floorplan and still unseen by the caches, so it stays pending.
-		ic.pending = prev
 	}
 }
 

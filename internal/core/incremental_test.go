@@ -175,6 +175,21 @@ func TestUndoBeforeCostIsSafe(t *testing.T) {
 	}
 }
 
+// TestPerturbWhilePendingPanics pins the anneal.Problem call order: a second
+// Perturb before the first move's Cost or undo is a protocol error.
+func TestPerturbWhilePendingPanics(t *testing.T) {
+	ev := makeEval(t, PowerAware, true, 31)
+	rng := rand.New(rand.NewSource(8))
+	ev.Cost()
+	ev.Perturb(rng)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Perturb with a move still pending did not panic")
+		}
+	}()
+	ev.Perturb(rng)
+}
+
 // TestFlowIncrementalMatchesFull is the end-to-end determinism criterion:
 // for a fixed seed, the flow must produce the identical best floorplan and
 // metrics with the incremental evaluator (cached voltage engine and entropy

@@ -10,26 +10,21 @@ import (
 	"repro/internal/thermal"
 )
 
-// runParallelAnneal is the Replicas/Speculation annealing stage: K tempered
-// chains, each with M speculative evaluator copies, replacing the serial
-// anneal.Run call. It returns the best floorplan across all chains plus the
-// merged evaluation stats.
+// runParallelAnneal is the Replicas annealing stage: K tempered chains, each
+// with its own evaluator, replacing the serial anneal.Run call. It returns the
+// best floorplan across all chains plus the merged evaluation stats.
 //
 // Determinism layout: the flow RNG contributes exactly K+1 draws (one seed
 // per replica plus the swap-decision seed) and is then untouched until
 // finalize, so the walk inside the replicas — whatever the scheduler does —
 // cannot perturb the downstream stages. Each replica derives its initial
 // floorplan and its whole move stream from its own seeded RNG, and the
-// engine's barrier discipline does the rest: a fixed (Seed, Replicas,
-// Speculation) triple gives a byte-identical Result for any GOMAXPROCS.
+// engine's barrier discipline does the rest: a fixed (Seed, Replicas) pair
+// gives a byte-identical Result for any GOMAXPROCS.
 func runParallelAnneal(ctx context.Context, des *netlist.Design, cfg *Config, rng *rand.Rand, fast *thermal.FastEstimator) (*floorplan.Floorplan, EvalStats, error) {
 	k := cfg.Replicas
 	if k < 1 {
 		k = 1
-	}
-	m := cfg.Speculation
-	if m < 1 {
-		m = 1
 	}
 	seeds := make([]int64, k)
 	for r := range seeds {
@@ -37,30 +32,18 @@ func runParallelAnneal(ctx context.Context, des *netlist.Design, cfg *Config, rn
 	}
 	swapSeed := rng.Int63()
 
-	newEval := func(fp *floorplan.Floorplan) *evaluator { return newEvaluator(fp, cfg, fast) }
-
 	reps := make([]anneal.Replica, k)
-	evs := make([][]*evaluator, k)
+	evs := make([]*evaluator, k)
 	bests := make([]*floorplan.Floorplan, k)
 	for r := range reps {
 		rrng := rand.New(rand.NewSource(seeds[r]))
-		fp := floorplan.NewRandom(des, rrng)
-		evs[r] = make([]*evaluator, m)
-		probs := make([]anneal.Problem, m)
-		for c := range evs[r] {
-			if c == 0 {
-				evs[r][c] = newEval(fp)
-			} else {
-				evs[r][c] = newEval(fp.Clone())
-			}
-			probs[c] = evs[r][c]
-		}
+		evs[r] = newEvaluator(floorplan.NewRandom(des, rrng), cfg, fast)
 		r := r
 		reps[r] = anneal.Replica{
-			Problems: probs,
-			RNG:      rrng,
+			Problem: evs[r],
+			RNG:     rrng,
 			OnBest: func(float64) {
-				bests[r] = evs[r][0].fp.SnapshotInto(bests[r])
+				bests[r] = evs[r].fp.SnapshotInto(bests[r])
 			},
 		}
 	}
@@ -71,15 +54,13 @@ func runParallelAnneal(ctx context.Context, des *netlist.Design, cfg *Config, rn
 	// initial packing. A throwaway full-path evaluator computes them once on
 	// the same reference floorplan the serial path would have started from
 	// (a fresh Seed-derived stream), which puts AnnealBestCost on one scale
-	// for every replica/speculation shape at a given seed. normTerms is
+	// for every replica count at a given seed. normTerms is
 	// read-only after this, so the pointer is safe to share across the
 	// worker goroutines.
 	boot := &evaluator{fp: floorplan.NewRandom(des, rand.New(rand.NewSource(cfg.Seed))), cfg: cfg, fast: fast}
 	boot.Cost()
-	for r := range evs {
-		for _, ev := range evs[r] {
-			ev.norm = boot.norm
-		}
+	for _, ev := range evs {
+		ev.norm = boot.norm
 	}
 
 	pres := anneal.RunParallel(reps, anneal.ParallelOptions{
@@ -92,33 +73,27 @@ func runParallelAnneal(ctx context.Context, des *netlist.Design, cfg *Config, rn
 
 	var stats EvalStats
 	addEvalStats(&stats, &boot.stats)
-	for r := range evs {
-		for _, ev := range evs[r] {
-			addEvalStats(&stats, &ev.stats)
-		}
+	for _, ev := range evs {
+		addEvalStats(&stats, &ev.stats)
 	}
 	stats.AnnealBestCost = pres.BestCost
 	stats.Replicas = k
 	stats.ReplicaSwapAttempts = pres.SwapAttempts
 	stats.ReplicaSwapAccepts = pres.SwapAccepts
 	stats.ReplicaBest = pres.Best
-	stats.SpecWorkers = m
-	stats.SpecBatches = pres.SpecBatches
-	stats.SpecCommits = pres.SpecCommits
-	stats.SpecDiscarded = pres.SpecDiscarded
 
 	if err := ctx.Err(); err != nil {
 		return nil, stats, err
 	}
 	best := bests[pres.Best]
 	if best == nil {
-		best = evs[pres.Best][0].fp
+		best = evs[pres.Best].fp
 	}
 	return best, stats, nil
 }
 
 // addEvalStats accumulates src into dst: every effort counter sums, the
-// cross-check drift takes the max. The Replica*/Spec* fields are run-level,
+// cross-check drift takes the max. The Replica* fields are run-level,
 // set by runParallelAnneal after merging, and are not touched here.
 func addEvalStats(dst, src *EvalStats) {
 	dst.Evals += src.Evals

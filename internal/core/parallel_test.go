@@ -9,11 +9,10 @@ import (
 	"repro/internal/bench"
 )
 
-// parCfg is fastCfg with the parallel-anneal knobs set.
-func parCfg(mode Mode, seed int64, replicas, speculation int) Config {
+// parCfg is fastCfg with the replica count set.
+func parCfg(mode Mode, seed int64, replicas int) Config {
 	cfg := fastCfg(mode, seed)
 	cfg.Replicas = replicas
-	cfg.Speculation = speculation
 	return cfg
 }
 
@@ -25,7 +24,7 @@ func stripRuntime(res *Result) Metrics {
 }
 
 // TestRunReplicasOneIsSerial pins the flow-identity half of the determinism
-// contract at the config level: Replicas=1 / Speculation=1 must route
+// contract at the config level: Replicas=1 must route
 // through the serial annealing path and reproduce the plain config's run
 // byte-for-byte (the golden fixtures pin the same property end to end).
 func TestRunReplicasOneIsSerial(t *testing.T) {
@@ -34,31 +33,31 @@ func TestRunReplicasOneIsSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := parCfg(TSCAware, 7, 1, 1)
+	cfg := parCfg(TSCAware, 7, 1)
 	one, err := Run(des, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(stripRuntime(serial), stripRuntime(one)) {
-		t.Fatal("Replicas=1/Speculation=1 diverged from the serial flow")
+		t.Fatal("Replicas=1 diverged from the serial flow")
 	}
 	if !reflect.DeepEqual(one.EvalStats, serial.EvalStats) {
 		t.Fatalf("eval stats diverged:\n got %+v\nwant %+v", one.EvalStats, serial.EvalStats)
 	}
-	if one.EvalStats.Replicas != 0 || one.EvalStats.SpecWorkers != 0 {
+	if one.EvalStats.Replicas != 0 {
 		t.Fatal("serial path must not report parallel-anneal stats")
 	}
 }
 
 // TestRunReplicasDeterministicAcrossGOMAXPROCS is the flow half of the
-// determinism contract: a fixed (Seed, Replicas, Speculation) triple must
-// yield identical metrics, stats, and layout for any GOMAXPROCS. The -cpu
-// 1,4,8 runs in CI cover the same property via the golden-fixture test; this
-// pins it in-process either way.
+// determinism contract: a fixed (Seed, Replicas) pair must yield identical
+// metrics, stats, and layout for any GOMAXPROCS. The -cpu 1,4,8 runs in CI
+// cover the same property via the golden-fixture test; this pins it in-process
+// either way.
 func TestRunReplicasDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	des := bench.MustGenerate("n100")
 	run := func() *Result {
-		res, err := Run(des, parCfg(TSCAware, 11, 3, 2))
+		res, err := Run(des, parCfg(TSCAware, 11, 3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,18 +86,18 @@ func TestRunReplicasDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestRunReplicasReportsStats checks the replica/speculation bookkeeping on
+// TestRunReplicasReportsStats checks the replica bookkeeping on
 // a tempered run and that the result passes the full validity bar.
 func TestRunReplicasReportsStats(t *testing.T) {
 	des := bench.MustGenerate("n100")
-	res, err := Run(des, parCfg(TSCAware, 5, 3, 2))
+	res, err := Run(des, parCfg(TSCAware, 5, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkResult(t, res)
 	s := res.EvalStats
-	if s.Replicas != 3 || s.SpecWorkers != 2 {
-		t.Fatalf("shape not recorded: Replicas=%d SpecWorkers=%d", s.Replicas, s.SpecWorkers)
+	if s.Replicas != 3 {
+		t.Fatalf("replica count not recorded: Replicas=%d", s.Replicas)
 	}
 	if s.ReplicaSwapAttempts == 0 {
 		t.Fatal("no temperature swaps attempted over a 3-replica run")
@@ -109,24 +108,18 @@ func TestRunReplicasReportsStats(t *testing.T) {
 	if s.ReplicaBest < 0 || s.ReplicaBest >= 3 {
 		t.Fatalf("best replica index %d out of range", s.ReplicaBest)
 	}
-	if s.SpecBatches == 0 || s.SpecCommits == 0 {
-		t.Fatalf("speculation did no work: %+v", s)
-	}
-	// 3 replicas x 2 copies plus the normalization bootstrap all evaluate.
+	// 3 replicas plus the normalization bootstrap all evaluate.
 	if s.Evals <= 150 {
-		t.Fatalf("only %d evals across a 3x2 fleet with a 150-move budget", s.Evals)
+		t.Fatalf("only %d evals across a 3-replica fleet with a 150-move budget", s.Evals)
 	}
 }
 
 // TestRunReplicasCrossCheck runs -check-cost inside every replica: each of
-// the K x M evaluators carries its own incremental caches and each is pinned
-// against the full recompute on every move. The regime (3 replicas, 150
-// iterations) is long enough that speculative batches reject candidates
-// folded with a pending committed-winner replay — the path where a dropped
-// pending move used to leave the cached layout stale on the loser copies.
+// the K evaluators carries its own incremental caches and each is pinned
+// against the full recompute on every move.
 func TestRunReplicasCrossCheck(t *testing.T) {
 	des := bench.MustGenerate("n100")
-	cfg := parCfg(TSCAware, 9, 3, 2)
+	cfg := parCfg(TSCAware, 9, 3)
 	cfg.SAIterations = 150
 	cfg.CostCrossCheck = true
 	res, err := Run(des, cfg)
@@ -148,7 +141,7 @@ func TestRunReplicasCancellation(t *testing.T) {
 	des := bench.MustGenerate("n100")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	cfg := parCfg(TSCAware, 3, 2, 1)
+	cfg := parCfg(TSCAware, 3, 2)
 	cfg.SAIterations = 100000
 	cfg.Progress = func(ev ProgressEvent) {
 		if ev.Stage == StageAnneal && ev.Done > 0 {
@@ -165,18 +158,13 @@ func TestRunReplicasCancellation(t *testing.T) {
 }
 
 // TestConfigParallelismDefaultsSerialUnderReplicas pins the oversubscription
-// rule: replica/speculation runs default the nested thermal fan-out to the
+// rule: replica runs default the nested thermal fan-out to the
 // serial path unless Parallelism is set explicitly.
 func TestConfigParallelismDefaultsSerialUnderReplicas(t *testing.T) {
 	cfg := Config{Replicas: 4}
 	cfg.defaults()
 	if cfg.Parallelism != 1 {
 		t.Fatalf("Replicas>1 left Parallelism=%d, want the serial default", cfg.Parallelism)
-	}
-	cfg = Config{Speculation: 2}
-	cfg.defaults()
-	if cfg.Parallelism != 1 {
-		t.Fatalf("Speculation>1 left Parallelism=%d, want the serial default", cfg.Parallelism)
 	}
 	cfg = Config{Replicas: 4, Parallelism: 3}
 	cfg.defaults()

@@ -318,9 +318,9 @@ func TestSweepJob(t *testing.T) {
 	}
 }
 
-// TestReplicaJob runs a 2-replica speculative job end to end over HTTP: the
-// job completes with SSE progress, its Result carries the repl_*/spec_*
-// stats and matches an in-process run with the same shape, and the dedupe
+// TestReplicaJob runs a 2-replica job end to end over HTTP: the job
+// completes with SSE progress, its Result carries the repl_* stats and
+// matches an in-process run with the same replica count, and the dedupe
 // key treats the serial spellings ("replicas": 1 vs omitted) as the same
 // submission while keeping the 2-replica artifact distinct.
 func TestReplicaJob(t *testing.T) {
@@ -330,7 +330,7 @@ func TestReplicaJob(t *testing.T) {
 		"benchmark": "n100",
 		"options": {"mode": "tsc", "seed": 42, "iterations": 100, "grid_n": 12,
 		            "activity_samples": 4, "max_dummy_groups": 2,
-		            "replicas": 2, "speculation": 2}
+		            "replicas": 2}
 	}`
 	st, resp := submit(t, ts, body)
 	if resp.StatusCode != http.StatusCreated {
@@ -342,12 +342,12 @@ func TestReplicaJob(t *testing.T) {
 		t.Fatalf("replica job state = %s (error %q)", final.State, final.Error)
 	}
 	got := decodeResult(t, ts, st.ID)
-	if got.Stats.ReplicaCount != 2 || got.Stats.SpecWorkers != 2 {
-		t.Fatalf("served result missing parallel stats: %+v", got.Stats)
+	if got.Stats.ReplicaCount != 2 {
+		t.Fatalf("served result missing replica stats: %+v", got.Stats)
 	}
 
 	ro := testRunOptions
-	ro.Replicas, ro.Speculation = 2, 2
+	ro.Replicas = 2
 	opts, err := ro.Options()
 	if err != nil {
 		t.Fatal(err)
@@ -380,7 +380,7 @@ func TestReplicaJob(t *testing.T) {
 		t.Fatal("serial and 2-replica runs content-addressed identically")
 	}
 	one := strings.Replace(testJobBody, `"max_dummy_groups": 2`,
-		`"max_dummy_groups": 2, "replicas": 1, "speculation": 1`, 1)
+		`"max_dummy_groups": 2, "replicas": 1`, 1)
 	st2, resp2 := submit(t, ts, one)
 	if resp2.StatusCode != http.StatusOK || !st2.Deduped {
 		t.Fatalf("replicas=1 spelling did not dedupe: status %d, %+v", resp2.StatusCode, st2)
@@ -388,6 +388,28 @@ func TestReplicaJob(t *testing.T) {
 	if st2.ArtifactID != finalSerial.ArtifactID {
 		t.Fatalf("replicas=1 deduped to %s, want the serial artifact %s",
 			st2.ArtifactID, finalSerial.ArtifactID)
+	}
+}
+
+// TestContentKeyStable pins the content address of testJobBody. Registry
+// artifacts are stored under this key, so a change to the RunOptions wire
+// shape (such as dropping a retired omitempty field) must not move it.
+func TestContentKeyStable(t *testing.T) {
+	var req JobRequest
+	if err := json.Unmarshal([]byte(testJobBody), &req); err != nil {
+		t.Fatal(err)
+	}
+	design, err := req.normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := contentKey(design, req.Options, req.Sweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "sha256:c3b54a0e4aae4171bc3caa27aac872cb12c8faa4cf20954bae3ab0afb42be1bb"
+	if key != want {
+		t.Fatalf("content key of testJobBody = %s, want %s", key, want)
 	}
 }
 
@@ -449,6 +471,7 @@ func TestQueueBoundsAndValidation(t *testing.T) {
 		"bad criterion":        `{"benchmark": "n100", "options": {"post_criterion": "top"}}`,
 		"negative iterations":  `{"benchmark": "n100", "options": {"iterations": -1}}`,
 		"unknown field":        `{"benchmark": "n100", "bogus": 1}`,
+		"retired speculation":  `{"benchmark": "n100", "options": {"speculation": 2}}`,
 		"truncated":            `{"benchmark": "n1`,
 		"zero modules": `{"design": {"name": "x", "dies": 2, "outline_w_um": 100, "outline_h_um": 100,
 			"modules": [], "nets": []}}`,

@@ -89,30 +89,19 @@ func BenchmarkAnnealLoop(b *testing.B) {
 }
 
 // BenchmarkAnnealReplicas times the parallel annealer at 1/2/4/8 tempered
-// replicas and at speculation widths 2/4, on the full incremental stack
-// (thermal fan-out serial inside each worker, the Config default under
-// replicas). Every chain runs the full iteration budget, so higher replica
-// counts spend cores on search quality rather than a shorter loop; best_cost
-// reports the best annealing cost reached, on a scale shared across legs of
-// one benchmark/seed (the parallel annealer normalizes against the serial
-// path's Seed-derived reference floorplan). docs/BENCHMARKS.md derives the
-// quality-per-wall-clock comparison from the recorded best_cost/ns-op pairs.
+// replicas, on the full incremental stack (thermal fan-out serial inside each
+// worker, the Config default under replicas). Every chain runs the full
+// iteration budget, so higher replica counts spend cores on search quality
+// rather than a shorter loop; best_cost reports the best annealing cost
+// reached, on a scale shared across legs of one benchmark/seed (the parallel
+// annealer normalizes against the serial path's Seed-derived reference
+// floorplan). docs/BENCHMARKS.md derives the quality-per-wall-clock comparison
+// from the recorded best_cost/ns-op pairs.
 func BenchmarkAnnealReplicas(b *testing.B) {
 	iters := benchIters()
 	for _, name := range []string{"n100", "ibm01"} {
-		for _, leg := range []struct {
-			label       string
-			replicas    int
-			speculation int
-		}{
-			{"repl-1", 1, 1},
-			{"repl-2", 2, 1},
-			{"repl-4", 4, 1},
-			{"repl-8", 8, 1},
-			{"spec-2", 1, 2},
-			{"spec-4", 1, 4},
-		} {
-			b.Run(fmt.Sprintf("%s/%s", name, leg.label), func(b *testing.B) {
+		for _, replicas := range []int{1, 2, 4, 8} {
+			b.Run(fmt.Sprintf("%s/repl-%d", name, replicas), func(b *testing.B) {
 				des := bench.MustGenerate(name)
 				post := false
 				var st core.EvalStats
@@ -122,8 +111,7 @@ func BenchmarkAnnealReplicas(b *testing.B) {
 						SAIterations: iters,
 						Seed:         1,
 						PostProcess:  &post,
-						Replicas:     leg.replicas,
-						Speculation:  leg.speculation,
+						Replicas:     replicas,
 					})
 					if err != nil {
 						b.Fatal(err)
@@ -134,10 +122,6 @@ func BenchmarkAnnealReplicas(b *testing.B) {
 				if st.ReplicaSwapAttempts > 0 {
 					b.ReportMetric(float64(st.ReplicaSwapAccepts)/
 						float64(st.ReplicaSwapAttempts), "swap_accept_frac")
-				}
-				if st.SpecBatches > 0 {
-					b.ReportMetric(float64(st.SpecCommits)/
-						float64(st.SpecBatches), "spec_commit_frac")
 				}
 			})
 		}

@@ -112,9 +112,9 @@ func TestResultJSONRoundTrip(t *testing.T) {
 		t.Fatalf("decoded heatmap: %q, %v", hm, err)
 	}
 
-	// Artifacts stored before the STA cache and adjacency index were retired
-	// still carry their sta_*/adj_* stats keys; they must stay readable and
-	// re-encode to the current bytes.
+	// Artifacts stored before the STA cache, the adjacency index and
+	// speculative moves were retired still carry their sta_*/adj_*/spec_*
+	// stats keys; they must stay readable and re-encode to the current bytes.
 	var doc map[string]any
 	if err := json.Unmarshal(want, &doc); err != nil {
 		t.Fatal(err)
@@ -122,7 +122,8 @@ func TestResultJSONRoundTrip(t *testing.T) {
 	stats := doc["stats"].(map[string]any)
 	for _, k := range []string{"sta_patches", "sta_rebuilds", "sta_modules_recomputed", "sta_crit_rescans",
 		"sta_cross_checks", "sta_gate_trips", "adj_full_sweeps", "adj_incremental_updates",
-		"adj_rows_changed", "adj_cross_checks", "adj_bulk_fallbacks"} {
+		"adj_rows_changed", "adj_cross_checks", "adj_bulk_fallbacks",
+		"spec_workers", "spec_batches", "spec_commits", "spec_discarded"} {
 		stats[k] = 7
 	}
 	legacy, err := json.Marshal(doc)

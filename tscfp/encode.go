@@ -98,13 +98,6 @@ type RunStats struct {
 	ReplicaSwapAttempts int `json:"repl_swap_attempts,omitempty"`
 	ReplicaSwapAccepts  int `json:"repl_swap_accepts,omitempty"`
 	ReplicaBest         int `json:"repl_best,omitempty"`
-	// SpecWorkers and the spec_* counters describe WithSpeculation:
-	// the candidate width, batches evaluated, batches that committed an
-	// acceptance, and candidate evaluations discarded. Omitted when zero.
-	SpecWorkers   int `json:"spec_workers,omitempty"`
-	SpecBatches   int `json:"spec_batches,omitempty"`
-	SpecCommits   int `json:"spec_commits,omitempty"`
-	SpecDiscarded int `json:"spec_discarded,omitempty"`
 	// The pack_* churn counters describe the exact-diff repack contract
 	// (WithChurnStats; omitted otherwise so default encodings stay
 	// byte-identical). PackMoves counts moves evaluated through the

@@ -30,11 +30,10 @@ type RunOptions struct {
 	VoltTargetFactor  float64  `json:"volt_target_factor,omitempty"`
 	Weights           *Weights `json:"weights,omitempty"`
 	Parallelism       *int     `json:"parallelism,omitempty"`
-	// Replicas and Speculation select the parallel annealer (WithReplicas /
-	// WithSpeculation). 0 and 1 both mean the serial path; Canonical
-	// normalizes 1 to 0 so the two spellings content-address identically.
-	Replicas    int `json:"replicas,omitempty"`
-	Speculation int `json:"speculation,omitempty"`
+	// Replicas selects the parallel annealer (WithReplicas). 0 and 1 both
+	// mean the serial path; Canonical normalizes 1 to 0 so the two
+	// spellings content-address identically.
+	Replicas int `json:"replicas,omitempty"`
 }
 
 // Canonical returns a normalized copy: mode and criterion spellings are
@@ -60,14 +59,8 @@ func (o RunOptions) Canonical() (RunOptions, error) {
 	if o.Replicas < 0 {
 		return RunOptions{}, fmt.Errorf("tscfp: negative replica count %d", o.Replicas)
 	}
-	if o.Speculation < 0 {
-		return RunOptions{}, fmt.Errorf("tscfp: negative speculation width %d", o.Speculation)
-	}
 	if o.Replicas == 1 {
 		o.Replicas = 0
-	}
-	if o.Speculation == 1 {
-		o.Speculation = 0
 	}
 	return o, nil
 }
@@ -130,9 +123,6 @@ func (o RunOptions) Options() ([]Option, error) {
 	}
 	if c.Replicas != 0 {
 		opts = append(opts, WithReplicas(c.Replicas))
-	}
-	if c.Speculation != 0 {
-		opts = append(opts, WithSpeculation(c.Speculation))
 	}
 	return opts, nil
 }

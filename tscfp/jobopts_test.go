@@ -123,7 +123,7 @@ func TestRunOptionsReplicaCanonical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, err := RunOptions{Seed: 7, Replicas: 1, Speculation: 1}.Canonical()
+	one, err := RunOptions{Seed: 7, Replicas: 1}.Canonical()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,37 +133,34 @@ func TestRunOptionsReplicaCanonical(t *testing.T) {
 		t.Fatalf("replicas=1 and replicas unset canonicalize differently: %s vs %s", oj, zj)
 	}
 
-	c, err := RunOptions{Replicas: 4, Speculation: 2}.Canonical()
+	c, err := RunOptions{Replicas: 4}.Canonical()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Replicas != 4 || c.Speculation != 2 {
-		t.Fatalf("explicit parallel shape not preserved: %+v", c)
+	if c.Replicas != 4 {
+		t.Fatalf("explicit replica count not preserved: %+v", c)
 	}
-	opts, err := RunOptions{Replicas: 4, Speculation: 2}.Options()
+	opts, err := RunOptions{Replicas: 4}.Options()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(opts) != 2 {
-		t.Fatalf("replica+speculation lowered to %d options, want 2", len(opts))
+	if len(opts) != 1 {
+		t.Fatalf("replicas lowered to %d options, want 1", len(opts))
 	}
 	if _, err := NewFlow(MustBenchmark("n100"), opts...); err != nil {
 		t.Fatal(err)
 	}
-	// Normalized-away serial spellings lower to no options at all.
-	opts, err = RunOptions{Replicas: 1, Speculation: 1}.Options()
+	// The normalized-away serial spelling lowers to no options at all.
+	opts, err = RunOptions{Replicas: 1}.Options()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(opts) != 0 {
-		t.Fatalf("serial spellings lowered to %d options, want 0", len(opts))
+		t.Fatalf("serial spelling lowered to %d options, want 0", len(opts))
 	}
 
 	if _, err := (RunOptions{Replicas: -1}).Canonical(); err == nil {
 		t.Fatal("negative replica count accepted")
-	}
-	if _, err := (RunOptions{Speculation: -2}).Canonical(); err == nil {
-		t.Fatal("negative speculation width accepted")
 	}
 }
 
@@ -180,7 +177,7 @@ func TestRunOptionsAllKnobs(t *testing.T) {
 		ProtectedModules: []int{0, 1}, MaxDummyGroups: 2, DummyViasPerGroup: 4,
 		VoltEvery: 5, VoltTargetFactor: 1.2,
 		Weights: &w, Parallelism: &par,
-		Replicas: 2, Speculation: 3,
+		Replicas: 2,
 	}
 	opts, err := full.Options()
 	if err != nil {

@@ -335,10 +335,10 @@ func WithParallelism(n int) Option {
 // of the flow. 0 and 1 (the default) select the single-chain serial path,
 // which stays bit-identical to earlier releases at a fixed seed.
 //
-// k >= 2 is its own deterministic contract: a fixed (seed, replicas,
-// speculation) triple yields a byte-identical Result for any GOMAXPROCS, but
-// the walk differs from the serial one — replicas trade reproducibility of
-// the historical stream for quality per wall-clock second. Under replicas
+// k >= 2 is its own deterministic contract: a fixed (seed, replicas) pair
+// yields a byte-identical Result for any GOMAXPROCS, but the walk differs
+// from the serial one — replicas trade reproducibility of the historical
+// stream for quality per wall-clock second. Under replicas
 // the per-run thermal Parallelism defaults to 1 (the chains are the
 // parallelism); an explicit WithParallelism wins.
 func WithReplicas(k int) Option {
@@ -348,24 +348,6 @@ func WithReplicas(k int) Option {
 			return
 		}
 		s.cfg.Replicas = k
-	}
-}
-
-// WithSpeculation evaluates m candidate moves per annealing step
-// concurrently, each against its own copy of the incremental-cost state, and
-// commits the first acceptance in a fixed candidate order. 0 and 1 (the
-// default) select the serial move loop. Like WithReplicas, m >= 2 keeps the
-// GOMAXPROCS-independence guarantee — same seed and shape, byte-identical
-// Result — while walking a different (still deterministic) move sequence
-// than serial. Composes with WithReplicas: every replica evaluates m
-// candidates per step.
-func WithSpeculation(m int) Option {
-	return func(s *settings) {
-		if m < 0 {
-			s.fail("negative speculation width %d", m)
-			return
-		}
-		s.cfg.Speculation = m
 	}
 }
 

@@ -11,18 +11,15 @@ func TestParallelOptionValidation(t *testing.T) {
 	if _, err := NewFlow(design, WithReplicas(-1)); err == nil {
 		t.Fatal("negative replica count must fail")
 	}
-	if _, err := NewFlow(design, WithSpeculation(-3)); err == nil {
-		t.Fatal("negative speculation width must fail")
-	}
-	if _, err := NewFlow(design, WithReplicas(0), WithSpeculation(0)); err != nil {
-		t.Fatalf("serial spellings rejected: %v", err)
+	if _, err := NewFlow(design, WithReplicas(0)); err != nil {
+		t.Fatalf("serial spelling rejected: %v", err)
 	}
 }
 
-// TestReplicasResultStats runs a small tempered+speculative flow and checks
-// the repl_*/spec_* stats surface in the Result — and, just as importantly,
-// that a serial run's JSON still carries none of the new keys, so existing
-// consumers (and the golden fixtures) see byte-identical encodings.
+// TestReplicasResultStats runs a small tempered flow and checks the repl_*
+// stats surface in the Result — and, just as importantly, that a serial
+// run's JSON still carries none of them, so existing consumers (and the
+// golden fixtures) see byte-identical encodings.
 func TestReplicasResultStats(t *testing.T) {
 	design := MustBenchmark("n100")
 	base := []Option{
@@ -30,15 +27,15 @@ func TestReplicasResultStats(t *testing.T) {
 		WithActivitySamples(2), WithMaxDummyGroups(1), WithSeed(7),
 	}
 	par, err := Run(context.Background(), design,
-		append(base, WithReplicas(2), WithSpeculation(2))...)
+		append(base, WithReplicas(2))...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := par.Stats
-	if s.ReplicaCount != 2 || s.SpecWorkers != 2 {
-		t.Fatalf("parallel shape not reported: %+v", s)
+	if s.ReplicaCount != 2 {
+		t.Fatalf("replica count not reported: %+v", s)
 	}
-	if s.ReplicaSwapAttempts == 0 || s.SpecBatches == 0 {
+	if s.ReplicaSwapAttempts == 0 {
 		t.Fatalf("parallel anneal did no work: %+v", s)
 	}
 	if s.ReplicaBest < 0 || s.ReplicaBest >= 2 {
@@ -48,8 +45,7 @@ func TestReplicasResultStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(data), `"repl_replicas": 2`) ||
-		!strings.Contains(string(data), `"spec_workers": 2`) {
+	if !strings.Contains(string(data), `"repl_replicas": 2`) {
 		t.Fatal("parallel stats missing from the JSON encoding")
 	}
 
@@ -61,7 +57,7 @@ func TestReplicasResultStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(string(data), `"repl_`) || strings.Contains(string(data), `"spec_`) {
-		t.Fatal("serial result JSON grew repl_/spec_ keys; fixtures would break")
+	if strings.Contains(string(data), `"repl_`) {
+		t.Fatal("serial result JSON grew repl_ keys; fixtures would break")
 	}
 }

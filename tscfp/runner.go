@@ -130,10 +130,6 @@ func newResult(res *core.Result, mode Mode, seed int64, churn bool) *Result {
 			ReplicaSwapAttempts:      res.EvalStats.ReplicaSwapAttempts,
 			ReplicaSwapAccepts:       res.EvalStats.ReplicaSwapAccepts,
 			ReplicaBest:              res.EvalStats.ReplicaBest,
-			SpecWorkers:              res.EvalStats.SpecWorkers,
-			SpecBatches:              res.EvalStats.SpecBatches,
-			SpecCommits:              res.EvalStats.SpecCommits,
-			SpecDiscarded:            res.EvalStats.SpecDiscarded,
 		},
 		raw: res,
 	}
