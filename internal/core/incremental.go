@@ -357,8 +357,7 @@ func (ic *incrState) rollback() {
 	// Pack-diff rollback restores both the layout entries of j.mods and the
 	// packers' skyline snapshots byte-exactly (in reverse order, so a
 	// cross-die move unwinds destination before source) — the next repack
-	// resumes from live snapshots instead of replaying the whole suffix
-	// after an Invalidate.
+	// resumes from live snapshots instead of replaying the whole suffix.
 	for i := len(j.packDiffs) - 1; i >= 0; i-- {
 		j.packDiffs[i].Rollback(ic.lay)
 	}

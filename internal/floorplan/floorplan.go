@@ -219,11 +219,7 @@ type DiePacker struct {
 	// xs[i], ys[i] snapshot the skyline steps before placing sequence
 	// position i; position 0 is the empty skyline.
 	xs, ys [][]float64
-	// valid is the highest snapshot index consistent with the die's current
-	// sequence state (after an undo, snapshots past the undone move's start
-	// position describe a packing that no longer exists).
-	valid int
-	sky   skyline // reusable working skyline
+	sky    skyline // reusable working skyline
 
 	// Mirror of the last-packed sequence: mods[i] is the module packed at
 	// position i, ws/hs its footprint and dirs its insertion preference at
@@ -257,64 +253,6 @@ func (dp *DiePacker) recycleRow(r []float64) {
 	if r != nil && len(dp.spare) < 2*cap(dp.xs) {
 		dp.spare = append(dp.spare, r)
 	}
-}
-
-// Invalidate marks snapshots at positions > pos stale. Call it when the
-// die's sequence state changed at position pos without a repack (i.e. on the
-// undo path, after the floorplan state has been restored).
-func (dp *DiePacker) Invalidate(pos int) {
-	if pos < dp.valid {
-		dp.valid = pos
-	}
-}
-
-// PackDieFrom repacks die d into the layout like PackDie, resuming from the
-// cached skyline snapshot at sequence position `from` (clamped to the last
-// valid snapshot). Placements before the resume point are untouched — they
-// are already correct in l — and the snapshots from the resume point on are
-// refreshed, so consecutive calls keep the cache consistent.
-func (fp *Floorplan) PackDieFrom(l *Layout, d, from int, dp *DiePacker) {
-	seq := fp.seq[d]
-	if from > dp.valid {
-		from = dp.valid
-	}
-	if from > len(seq) {
-		from = len(seq)
-	}
-	if need := len(seq) + 1; cap(dp.xs) < need {
-		xs := make([][]float64, need)
-		ys := make([][]float64, need)
-		copy(xs, dp.xs)
-		copy(ys, dp.ys)
-		dp.xs, dp.ys = xs, ys
-	} else {
-		dp.xs = dp.xs[:need]
-		dp.ys = dp.ys[:need]
-	}
-	dp.growMirror(len(seq))
-	sky := &dp.sky
-	sky.width = fp.Design.OutlineW
-	if from == 0 {
-		sky.xs = append(sky.xs[:0], 0)
-		sky.ys = append(sky.ys[:0], 0)
-	} else {
-		sky.xs = append(sky.xs[:0], dp.xs[from]...)
-		sky.ys = append(sky.ys[:0], dp.ys[from]...)
-	}
-	for i := from; i < len(seq); i++ {
-		dp.xs[i] = append(dp.xs[i][:0], sky.xs...)
-		dp.ys[i] = append(dp.ys[i][:0], sky.ys...)
-		mi := seq[i]
-		w, h := fp.footprint(mi)
-		dp.mods[i], dp.ws[i], dp.hs[i], dp.dirs[i] = mi, w, h, fp.dir[mi]
-		x, y := sky.place(w, h, fp.dir[mi])
-		l.Rects[mi] = geom.Rect{X: x, Y: y, W: w, H: h}
-		l.DieOf[mi] = d
-	}
-	dp.xs[len(seq)] = append(dp.xs[len(seq)][:0], sky.xs...)
-	dp.ys[len(seq)] = append(dp.ys[len(seq)][:0], sky.ys...)
-	dp.valid = len(seq)
-	dp.mirror = len(seq)
 }
 
 // growMirror sizes the sequence mirror for n positions, preserving existing
@@ -376,10 +314,9 @@ type PackDiff struct {
 	Converged          bool
 
 	// Rollback record: the displaced snapshot rows and mirror values of old
-	// positions [From, oexit), plus the pre-call watermarks.
+	// positions [From, oexit), plus the pre-call mirror length.
 	dp           *DiePacker
 	oldLen       int // mirror length before the call
-	oldValid     int
 	delta        int // oldLen - SeqLen
 	oldXs, oldYs [][]float64
 	jMods        []int
@@ -404,9 +341,11 @@ func (pd *PackDiff) Reset() {
 	pd.settled = false
 }
 
-// PackDieFromDiff is PackDieFrom producing an exact placement diff. It
-// repacks die d resuming from the cached skyline snapshot at position `from`
-// like PackDieFrom, with two refinements that make the dirty-set contract
+// PackDieFromDiff repacks die d into the layout like PackDie and reports an
+// exact placement diff. It resumes from the cached skyline snapshot at
+// sequence position `from` (clamped to the last-packed and the current
+// sequence length): placements before the resume point are untouched — they
+// are already correct in l. Two refinements make the dirty-set contract
 // exact instead of suffix-pessimistic:
 //
 //   - Early exit: before placing each position it aligns the remaining new
@@ -429,21 +368,12 @@ func (fp *Floorplan) PackDieFromDiff(l *Layout, d, from int, dp *DiePacker, pd *
 	seq := fp.seq[d]
 	newLen := len(seq)
 	oldLen := dp.mirror
-	if from > dp.valid {
-		from = dp.valid
-	}
-	if from > newLen {
-		from = newLen
-	}
-	if from > oldLen {
-		from = oldLen // unreachable when valid <= mirror; defensive
-	}
+	from = min(from, oldLen, newLen)
 	delta := oldLen - newLen
 
 	pd.Die = d
 	pd.dp = dp
 	pd.oldLen = oldLen
-	pd.oldValid = dp.valid
 	pd.delta = delta
 	pd.From = from
 	pd.SeqLen = newLen
@@ -451,25 +381,20 @@ func (fp *Floorplan) PackDieFromDiff(l *Layout, d, from int, dp *DiePacker, pd *
 	// Tail alignment: t is the smallest new position such that every
 	// position i >= t packs the same module with the same footprint and
 	// insertion preference as old position i+delta. Only at i >= t can a
-	// skyline match prove the remaining suffix identical. An invalidated
-	// mirror tail (valid < mirror: snapshots were dropped without a repack)
-	// cannot be trusted, so alignment is disabled there and the call
-	// degrades to a full journaled replay.
+	// skyline match prove the remaining suffix identical.
 	t := newLen
-	if dp.valid == dp.mirror {
-		for i := newLen - 1; i >= from; i-- {
-			o := i + delta
-			if o < 0 {
-				break
-			}
-			mi := seq[i]
-			w, h := fp.footprint(mi)
-			//lint:floateq prefix-resume compares cached inputs for bit-identity; any drift must invalidate the prefix
-			if dp.mods[o] != mi || dp.dirs[o] != fp.dir[mi] || dp.ws[o] != w || dp.hs[o] != h {
-				break
-			}
-			t = i
+	for i := newLen - 1; i >= from; i-- {
+		o := i + delta
+		if o < 0 {
+			break
 		}
+		mi := seq[i]
+		w, h := fp.footprint(mi)
+		//lint:floateq prefix-resume compares cached inputs for bit-identity; any drift must invalidate the prefix
+		if dp.mods[o] != mi || dp.dirs[o] != fp.dir[mi] || dp.ws[o] != w || dp.hs[o] != h {
+			break
+		}
+		t = i
 	}
 
 	// Resume and replay, staging new snapshots in scratch so the pre-move
@@ -598,7 +523,6 @@ func (fp *Floorplan) PackDieFromDiff(l *Layout, d, from int, dp *DiePacker, pd *
 		dp.mods[i], dp.ws[i], dp.hs[i], dp.dirs[i] = mi, w, h, fp.dir[mi]
 	}
 	dp.growMirror(newLen)
-	dp.valid = newLen
 	dp.mirror = newLen
 }
 
@@ -619,11 +543,10 @@ func (pd *PackDiff) Commit() {
 }
 
 // Rollback undoes a PackDieFromDiff call byte-exactly: the layout entries of
-// pd.Changed revert to their pre-move values, and the packer's snapshots,
-// mirror, and validity watermark are restored so the next repack resumes
-// from the same state as if the move never happened — no Invalidate, no
-// suffix replay. Call after the floorplan's own undo closure has restored
-// the sequences.
+// pd.Changed revert to their pre-move values, and the packer's snapshots
+// and mirror are restored so the next repack resumes from the same state as
+// if the move never happened — no suffix replay. Call after the floorplan's
+// own undo closure has restored the sequences.
 func (pd *PackDiff) Rollback(l *Layout) {
 	if pd.settled || pd.dp == nil {
 		return
@@ -703,7 +626,6 @@ func (pd *PackDiff) Rollback(l *Layout) {
 		dp.mods[from+k], dp.ws[from+k], dp.hs[from+k], dp.dirs[from+k] = m, pd.jWs[k], pd.jHs[k], pd.jDirs[k]
 	}
 	dp.growMirror(oldLen)
-	dp.valid = pd.oldValid
 	dp.mirror = oldLen
 }
 

@@ -403,17 +403,17 @@ func TestPackDiffResetReuse(t *testing.T) {
 }
 
 // packerState is a deep copy of a DiePacker's observable state: snapshot
-// rows, sequence mirror and watermarks.
+// rows, sequence mirror and its length.
 type packerState struct {
-	xs, ys        [][]float64
-	mods          []int
-	ws, hs        []float64
-	dirs          []InsertDir
-	valid, mirror int
+	xs, ys [][]float64
+	mods   []int
+	ws, hs []float64
+	dirs   []InsertDir
+	mirror int
 }
 
 func capturePacker(dp *DiePacker) packerState {
-	s := packerState{valid: dp.valid, mirror: dp.mirror}
+	s := packerState{mirror: dp.mirror}
 	for i := range dp.xs {
 		s.xs = append(s.xs, append([]float64(nil), dp.xs[i]...))
 		s.ys = append(s.ys, append([]float64(nil), dp.ys[i]...))
@@ -426,7 +426,7 @@ func capturePacker(dp *DiePacker) packerState {
 }
 
 func (s packerState) equal(o packerState) bool {
-	if s.valid != o.valid || s.mirror != o.mirror || len(s.xs) != len(o.xs) || len(s.mods) != len(o.mods) {
+	if s.mirror != o.mirror || len(s.xs) != len(o.xs) || len(s.mods) != len(o.mods) {
 		return false
 	}
 	for i := range s.xs {

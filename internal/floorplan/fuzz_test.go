@@ -39,23 +39,22 @@ func fuzzDesign(rng *rand.Rand) *netlist.Design {
 	return des
 }
 
-// FuzzPackDieFrom drives the prefix-resumed skyline packer (PackDieFrom +
-// DiePacker snapshots) through random move sequences with rejections and
-// cost-less undos interleaved, and requires the incrementally maintained
+// FuzzPackDieFrom drives the prefix-resumed skyline packer (PackDieFromDiff
+// over DiePacker snapshots) through random move sequences with rejections
+// and cost-less undos interleaved, and requires the incrementally maintained
 // layout to stay bit-identical to a from-scratch Pack after every event —
 // the exact contract the annealing loop's incremental evaluator builds on.
 //
-// A second layout is maintained in lockstep through PackDieFromDiff and
-// checks the exact-diff contract on every event: the returned changed set
+// Every event also checks the exact-diff contract: the returned changed set
 // must equal a brute-force placement compare against the pre-move layout
 // (so the early-exited suffix is byte-identical by the same compare), and
 // PackDiff.Rollback must restore both the layout and the packer state
-// byte-exactly on rejected moves — no Invalidate, no replay.
+// byte-exactly on rejected moves — no replay.
 //
 // The script bytes steer the protocol per move: bit 0 rejects the move after
-// the partial repack (undo + invalidate + repack, the journal-rollback
-// path), bit 1 undoes it before any repack (the undo-before-Cost path).
-// The seed drives the design shape and the move randomness.
+// the partial repack (undo + journal rollback), bit 1 undoes it before any
+// repack (the undo-before-Cost path). The seed drives the design shape and
+// the move randomness.
 func FuzzPackDieFrom(f *testing.F) {
 	f.Add(int64(1), []byte{0x00, 0x01, 0x02, 0x03})
 	f.Add(int64(7), []byte{0x01, 0x01, 0x01, 0x01, 0x01, 0x01})
@@ -70,43 +69,30 @@ func FuzzPackDieFrom(f *testing.F) {
 		des := fuzzDesign(rng)
 		fp := NewRandom(des, rng)
 		lay := fp.Pack()
-		dlay := fp.Pack() // diff-path layout, maintained via PackDieFromDiff
 		packers := make([]*DiePacker, des.Dies)
-		dpackers := make([]*DiePacker, des.Dies)
 		for d := range packers {
 			packers[d] = &DiePacker{}
-			dpackers[d] = &DiePacker{}
-		}
-		repack := func(mv Move) {
-			for i, d := range mv.Dies {
-				fp.PackDieFrom(lay, d, mv.Starts[i], packers[d])
-			}
-		}
-		invalidate := func(mv Move) {
-			for i, d := range mv.Dies {
-				packers[d].Invalidate(mv.Starts[i])
-			}
 		}
 		// Pre-move placement snapshot for the brute-force diff compare.
-		preRects := make([]geom.Rect, len(dlay.Rects))
-		preDies := make([]int, len(dlay.DieOf))
+		preRects := make([]geom.Rect, len(lay.Rects))
+		preDies := make([]int, len(lay.DieOf))
 		diffs := make([]*PackDiff, 0, 2)
-		repackDiff := func(mv Move) {
-			copy(preRects, dlay.Rects)
-			copy(preDies, dlay.DieOf)
+		repack := func(mv Move) {
+			copy(preRects, lay.Rects)
+			copy(preDies, lay.DieOf)
 			diffs = diffs[:0]
 			for i, d := range mv.Dies {
 				pd := &PackDiff{}
-				fp.PackDieFromDiff(dlay, d, mv.Starts[i], dpackers[d], pd)
+				fp.PackDieFromDiff(lay, d, mv.Starts[i], packers[d], pd)
 				diffs = append(diffs, pd)
 			}
 		}
-		rollbackDiff := func() {
+		rollback := func() {
 			for i := len(diffs) - 1; i >= 0; i-- {
-				diffs[i].Rollback(dlay)
+				diffs[i].Rollback(lay)
 			}
 		}
-		commitDiff := func() {
+		commit := func() {
 			for _, pd := range diffs {
 				pd.Commit()
 			}
@@ -119,14 +105,10 @@ func FuzzPackDieFrom(f *testing.F) {
 					t.Fatalf("step %d (%s): module %d incremental %+v/die%d != full %+v/die%d",
 						step, what, m, lay.Rects[m], lay.DieOf[m], want.Rects[m], want.DieOf[m])
 				}
-				if dlay.Rects[m] != want.Rects[m] || dlay.DieOf[m] != want.DieOf[m] {
-					t.Fatalf("step %d (%s): module %d diff-path %+v/die%d != full %+v/die%d",
-						step, what, m, dlay.Rects[m], dlay.DieOf[m], want.Rects[m], want.DieOf[m])
-				}
 			}
 		}
 		// checkDiffExact pins each PackDiff's changed set against a
-		// brute-force compare of dlay vs the pre-move snapshot: every
+		// brute-force compare of lay vs the pre-move snapshot: every
 		// reported module really changed, every real change is reported,
 		// and no module is reported twice.
 		checkDiffExact := func(step int) {
@@ -144,8 +126,8 @@ func FuzzPackDieFrom(f *testing.F) {
 					}
 				}
 			}
-			for m := range dlay.Rects {
-				changed := dlay.Rects[m] != preRects[m] || dlay.DieOf[m] != preDies[m]
+			for m := range lay.Rects {
+				changed := lay.Rects[m] != preRects[m] || lay.DieOf[m] != preDies[m]
 				if changed != reported[m] {
 					t.Fatalf("step %d: module %d brute-force changed=%v but reported=%v",
 						step, m, changed, reported[m])
@@ -157,34 +139,29 @@ func FuzzPackDieFrom(f *testing.F) {
 			mv, undo := fp.PerturbMove(rng)
 			if b&2 != 0 {
 				// Undo before any repack (the evaluator's undo-before-Cost
-				// corner): the floorplan reverts, the stale layout must still
-				// equal a fresh Pack, and the untouched snapshots stay valid.
+				// corner): the floorplan reverts, the untouched layout must
+				// still equal a fresh Pack, and the snapshots stay valid.
 				undo()
-				invalidate(mv)
 				check(step, "undo-before-repack")
 				continue
 			}
 			repack(mv)
-			repackDiff(mv)
 			checkDiffExact(step)
 			check(step, "apply")
 			if b&1 != 0 {
-				// Rejection: the legacy path undoes, drops the snapshots past
-				// the move's resume points, and repacks; the diff path rolls
-				// the journal back instead — both must revert bit for bit.
+				// Rejection: undo the move and roll the journal back; the
+				// layout must revert bit for bit.
 				undo()
-				invalidate(mv)
-				repack(mv)
-				rollbackDiff()
-				for m := range dlay.Rects {
-					if dlay.Rects[m] != preRects[m] || dlay.DieOf[m] != preDies[m] {
+				rollback()
+				for m := range lay.Rects {
+					if lay.Rects[m] != preRects[m] || lay.DieOf[m] != preDies[m] {
 						t.Fatalf("step %d: rollback left module %d at %+v/die%d, want %+v/die%d",
-							step, m, dlay.Rects[m], dlay.DieOf[m], preRects[m], preDies[m])
+							step, m, lay.Rects[m], lay.DieOf[m], preRects[m], preDies[m])
 					}
 				}
 				check(step, "reject")
 			} else {
-				commitDiff()
+				commit()
 			}
 		}
 		if !fp.CheckInvariants() {

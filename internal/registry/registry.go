@@ -313,13 +313,6 @@ func (r *Registry) Get(id string) ([]byte, bool) {
 	return data, true
 }
 
-// Len reports the indexed artifact count.
-func (r *Registry) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.arts)
-}
-
 // LastJobSeq reports the highest producing-job sequence number on record,
 // so a restarted daemon can allocate job IDs above every ID whose lineage
 // is already on disk.

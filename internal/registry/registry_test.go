@@ -84,6 +84,9 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if got, _ := r.Get(id); !bytes.Equal(got, payload) {
 		t.Fatal("second put replaced the first writer's payload")
 	}
+	if _, ok := r.Hit(testID("missing")); ok {
+		t.Fatal("hit on a missing id returned an artifact")
+	}
 
 	stem := strings.TrimPrefix(id, "sha256:")
 	if _, err := os.Stat(filepath.Join(dir, "artifacts", stem)); err != nil {

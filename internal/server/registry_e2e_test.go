@@ -14,34 +14,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/registry"
 	"repro/tscfp"
 )
-
-// newRegistryServer builds a server over a disk-backed registry rooted at
-// dir, plus its HTTP front end. The caller drains and closes via the
-// returned shutdown func (explicit, not t.Cleanup, because restart tests
-// need to stop the first instance mid-test).
-func newRegistryServer(t *testing.T, dir string, cfg Config) (*Server, *httptest.Server, func()) {
-	t.Helper()
-	reg, err := registry.Open(registry.Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Store = reg
-	s := New(cfg)
-	s.Start()
-	ts := httptest.NewServer(s.Handler())
-	var once bool
-	return s, ts, func() {
-		if once {
-			return
-		}
-		once = true
-		s.Drain(300 * time.Millisecond)
-		ts.Close()
-	}
-}
 
 func fetchArtifact(t *testing.T, ts *httptest.Server, id string) []byte {
 	t.Helper()
@@ -67,7 +41,7 @@ func fetchArtifact(t *testing.T, ts *httptest.Server, id string) []byte {
 func TestRestartDurability(t *testing.T) {
 	dir := t.TempDir()
 
-	_, ts1, stop1 := newRegistryServer(t, dir, Config{Workers: 1, QueueCap: 8})
+	s1, ts1 := newTestServer(t, dir, Config{Workers: 1, QueueCap: 8})
 	st, resp := submit(t, ts1, testJobBody)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("submit status = %d", resp.StatusCode)
@@ -78,10 +52,9 @@ func TestRestartDurability(t *testing.T) {
 		t.Fatalf("producing job = %+v", final)
 	}
 	payload := fetchArtifact(t, ts1, final.ArtifactID)
-	stop1() // graceful drain + listener close: the "SIGTERM" half
+	stopServer(s1, ts1) // graceful drain + listener close: the "SIGTERM" half
 
-	_, ts2, stop2 := newRegistryServer(t, dir, Config{Workers: 1, QueueCap: 8})
-	defer stop2()
+	_, ts2 := newTestServer(t, dir, Config{Workers: 1, QueueCap: 8})
 	st2, resp2 := submit(t, ts2, testJobBody)
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("post-restart submit status = %d, want 200 dedupe", resp2.StatusCode)
@@ -124,7 +97,7 @@ func TestRestartDurability(t *testing.T) {
 func TestRestartCorruptionQuarantine(t *testing.T) {
 	dir := t.TempDir()
 
-	_, ts1, stop1 := newRegistryServer(t, dir, Config{Workers: 1, QueueCap: 8})
+	s1, ts1 := newTestServer(t, dir, Config{Workers: 1, QueueCap: 8})
 	st, _ := submit(t, ts1, testJobBody)
 	followSSE(t, ts1, st.ID)
 	final := getStatus(t, ts1, st.ID)
@@ -132,7 +105,7 @@ func TestRestartCorruptionQuarantine(t *testing.T) {
 		t.Fatalf("producing job = %+v", final)
 	}
 	payload := fetchArtifact(t, ts1, final.ArtifactID)
-	stop1()
+	stopServer(s1, ts1)
 
 	// Corrupt the stored payload on disk: truncate it. (A second, fake
 	// artifact with flipped bytes exercises the hash-mismatch path.)
@@ -145,8 +118,7 @@ func TestRestartCorruptionQuarantine(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, ts2, stop2 := newRegistryServer(t, dir, Config{Workers: 1, QueueCap: 8})
-	defer stop2()
+	_, ts2 := newTestServer(t, dir, Config{Workers: 1, QueueCap: 8})
 	metrics := fetch(t, ts2, "/metrics")
 	if !strings.Contains(metrics, "tscfpd_store_quarantined_total 2") {
 		t.Fatalf("metrics missing quarantine count:\n%s", metrics)
@@ -186,7 +158,7 @@ func TestRestartCorruptionQuarantine(t *testing.T) {
 // are pruned oldest-first while queued/running jobs survive, and the GC
 // shows up in /metrics.
 func TestJobTableGC(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2, QueueCap: 8, MaxJobs: 3})
+	_, ts := newTestServer(t, t.TempDir(), Config{Workers: 2, QueueCap: 8, MaxJobs: 3})
 
 	st, resp := submit(t, ts, testJobBody)
 	if resp.StatusCode != http.StatusCreated {
@@ -243,7 +215,7 @@ func TestJobTableGC(t *testing.T) {
 // slicing over the filtered set, total reporting the pre-pagination count,
 // and 400s on malformed values.
 func TestListPagination(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueCap: 8})
+	_, ts := newTestServer(t, t.TempDir(), Config{Workers: 1, QueueCap: 8})
 
 	st, _ := submit(t, ts, testJobBody)
 	followSSE(t, ts, st.ID)
@@ -305,7 +277,7 @@ func TestListPagination(t *testing.T) {
 // blocker emits nothing) carries ": keepalive" comment frames so proxies
 // do not sever it, and the stream still delivers the real terminal event.
 func TestSSEKeepAlive(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueCap: 8, SSEKeepAlive: 20 * time.Millisecond})
+	_, ts := newTestServer(t, t.TempDir(), Config{Workers: 1, QueueCap: 8, SSEKeepAlive: 20 * time.Millisecond})
 
 	blocker, _ := submit(t, ts, `{"benchmark": "n100", "options": {"iterations": 100000000, "grid_n": 12}}`)
 	waitState(t, ts, blocker.ID, StateRunning)
@@ -374,7 +346,7 @@ func TestSSEKeepAlive(t *testing.T) {
 // serves from the store count as artifact hits and sweep-cell dedupe
 // metrics, exactly like single-run dedupe hits.
 func TestSweepCellHitCounting(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, QueueCap: 8})
+	s, ts := newTestServer(t, t.TempDir(), Config{Workers: 1, QueueCap: 8})
 
 	body := `{
 		"benchmark": "n100",
@@ -455,7 +427,7 @@ func (w *errWriter) Write([]byte) (int, error) { return 0, errors.New("client go
 // TestWriteJSONErrorCounted: a failed response write is detected and
 // counted instead of silently dropped.
 func TestWriteJSONErrorCounted(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s, _ := newTestServer(t, t.TempDir(), Config{Workers: 1})
 	s.writeJSON(&errWriter{}, http.StatusOK, map[string]int{"x": 1})
 	s.metrics.mu.Lock()
 	n := s.metrics.writeErrors

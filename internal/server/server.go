@@ -9,11 +9,11 @@
 // flags/env, health and readiness live at /healthz and /readyz, metrics at
 // /metrics, and local state is rebuildable, never irreplaceable. The job
 // table is in-memory and GC-bounded (terminal records beyond MaxJobs or
-// older than JobRetention are pruned); the artifact store is pluggable — a
-// disk-backed registry (internal/registry) survives restarts with bounded
-// RAM, the in-memory fallback serves zero-config runs. SIGTERM maps to
-// Drain: readiness flips, admission stops, and in-flight work finishes or
-// is cancelled within a deadline.
+// older than JobRetention are pruned); the artifact store is a disk-backed
+// registry (internal/registry) with bounded RAM and disk, which survives
+// restarts when its directory does. SIGTERM maps to Drain: readiness flips,
+// admission stops, and in-flight work finishes or is cancelled within a
+// deadline.
 //
 // REST surface:
 //
@@ -41,10 +41,12 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/registry"
 	"repro/tscfp"
 )
 
-// Config tunes a Server. Zero values select the documented defaults.
+// Config tunes a Server. Store is required; zero values elsewhere select
+// the documented defaults.
 type Config struct {
 	// Workers is the job worker-pool size; <1 selects GOMAXPROCS.
 	Workers int
@@ -53,9 +55,10 @@ type Config struct {
 	QueueCap int
 	// MaxBodyBytes caps a submission body; <1 selects 8 MiB.
 	MaxBodyBytes int64
-	// Store is the artifact registry. nil selects the ephemeral in-memory
-	// store; pass a *registry.Registry for durable, bounded serving.
-	Store Store
+	// Store is the content-addressed artifact registry every completed
+	// Result lands in, so identical submissions collapse onto one
+	// computation. Required: New panics when it is nil.
+	Store *registry.Registry
 	// MaxJobs bounds the job table: when the table grows past it, terminal
 	// job records are pruned oldest-first (running and queued jobs are
 	// never pruned). <1 selects 4096.
@@ -75,7 +78,7 @@ type Server struct {
 	cfg     Config
 	mux     *http.ServeMux
 	queue   *queue
-	store   Store
+	store   *registry.Registry
 	metrics *metrics
 
 	baseCtx   context.Context
@@ -103,7 +106,7 @@ func New(cfg Config) *Server {
 		cfg.MaxBodyBytes = 8 << 20
 	}
 	if cfg.Store == nil {
-		cfg.Store = newMemStore()
+		panic("server: Config.Store is required")
 	}
 	if cfg.MaxJobs < 1 {
 		cfg.MaxJobs = 4096

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/registry"
 	"repro/tscfp"
 )
 
@@ -30,16 +31,28 @@ var testRunOptions = tscfp.RunOptions{
 	ActivitySamples: 4, MaxDummyGroups: 2,
 }
 
-func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+// newTestServer starts a server over a disk-backed registry rooted at dir,
+// plus its HTTP front end, and stops both at test cleanup. Restart tests
+// pass the same dir to a second server after stopping the first.
+func newTestServer(t *testing.T, dir string, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
+	reg, err := registry.Open(registry.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Store = reg
 	s := New(cfg)
 	s.Start()
 	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
-		s.Drain(300 * time.Millisecond)
-		ts.Close()
-	})
+	t.Cleanup(func() { stopServer(s, ts) })
 	return s, ts
+}
+
+// stopServer drains s and closes its front end. Both steps are idempotent,
+// so a test may stop a server early and leave the cleanup to repeat it.
+func stopServer(s *Server, ts *httptest.Server) {
+	s.Drain(300 * time.Millisecond)
+	ts.Close()
 }
 
 func submit(t *testing.T, ts *httptest.Server, body string) (JobStatus, *http.Response) {
@@ -141,7 +154,7 @@ func decodeResult(t *testing.T, ts *httptest.Server, id string) *tscfp.Result {
 // in-process run with the same seed, a duplicate submission dedupes to the
 // same artifact with lineage, and /metrics reflects all of it.
 func TestEndToEndSingleJob(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2, QueueCap: 8})
+	_, ts := newTestServer(t, t.TempDir(), Config{Workers: 2, QueueCap: 8})
 
 	st, resp := submit(t, ts, testJobBody)
 	if resp.StatusCode != http.StatusCreated {
@@ -252,7 +265,7 @@ func TestEndToEndSingleJob(t *testing.T) {
 // a later single-run submission of one cell dedupes against the artifact
 // the sweep stored for that cell.
 func TestSweepJob(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueCap: 8})
+	_, ts := newTestServer(t, t.TempDir(), Config{Workers: 1, QueueCap: 8})
 
 	body := `{
 		"benchmark": "n100",
@@ -324,7 +337,7 @@ func TestSweepJob(t *testing.T) {
 // key treats the serial spellings ("replicas": 1 vs omitted) as the same
 // submission while keeping the 2-replica artifact distinct.
 func TestReplicaJob(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueCap: 8})
+	_, ts := newTestServer(t, t.TempDir(), Config{Workers: 1, QueueCap: 8})
 
 	body := `{
 		"benchmark": "n100",
@@ -391,6 +404,17 @@ func TestReplicaJob(t *testing.T) {
 	}
 }
 
+// TestNewRequiresStore: the registry is the only artifact store, so a
+// Config without one is a programming error New reports by field name.
+func TestNewRequiresStore(t *testing.T) {
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "Config.Store") {
+			t.Fatalf("New without a Store: recovered %v, want a panic naming Config.Store", r)
+		}
+	}()
+	New(Config{})
+}
+
 // TestContentKeyStable pins the content address of testJobBody. Registry
 // artifacts are stored under this key, so a change to the RunOptions wire
 // shape (such as dropping a retired omitempty field) must not move it.
@@ -416,7 +440,7 @@ func TestContentKeyStable(t *testing.T) {
 // TestCancelRunningJob cancels a long-running job via DELETE and expects a
 // prompt cancelled state.
 func TestCancelRunningJob(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueCap: 8})
+	_, ts := newTestServer(t, t.TempDir(), Config{Workers: 1, QueueCap: 8})
 
 	body := `{"benchmark": "n100", "options": {"iterations": 100000000, "grid_n": 12}}`
 	st, _ := submit(t, ts, body)
@@ -429,7 +453,7 @@ func TestCancelRunningJob(t *testing.T) {
 // TestCancelQueuedJob cancels a job that is still waiting behind a blocker
 // and expects it to finalize without ever running.
 func TestCancelQueuedJob(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueCap: 8})
+	_, ts := newTestServer(t, t.TempDir(), Config{Workers: 1, QueueCap: 8})
 
 	blocker, _ := submit(t, ts, `{"benchmark": "n100", "options": {"iterations": 100000000, "grid_n": 12}}`)
 	waitState(t, ts, blocker.ID, StateRunning)
@@ -448,7 +472,7 @@ func TestCancelQueuedJob(t *testing.T) {
 // TestQueueBoundsAndValidation exercises admission control: a full queue
 // returns 503 with Retry-After, and malformed submissions return 400/413.
 func TestQueueBoundsAndValidation(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueCap: 1, MaxBodyBytes: 4096})
+	_, ts := newTestServer(t, t.TempDir(), Config{Workers: 1, QueueCap: 1, MaxBodyBytes: 4096})
 
 	blocker, _ := submit(t, ts, `{"benchmark": "n100", "options": {"iterations": 100000000, "grid_n": 12}}`)
 	waitState(t, ts, blocker.ID, StateRunning)
@@ -498,9 +522,7 @@ func TestQueueBoundsAndValidation(t *testing.T) {
 func TestDrain(t *testing.T) {
 	before := runtime.NumGoroutine()
 
-	s := New(Config{Workers: 2, QueueCap: 8})
-	s.Start()
-	ts := httptest.NewServer(s.Handler())
+	s, ts := newTestServer(t, t.TempDir(), Config{Workers: 2, QueueCap: 8})
 
 	if body := fetch(t, ts, "/readyz"); !strings.Contains(body, "ready") {
 		t.Fatalf("readyz before drain = %q", body)
