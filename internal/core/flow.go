@@ -26,6 +26,16 @@ func Run(des *netlist.Design, cfg Config) (*Result, error) {
 	return RunContext(context.Background(), des, cfg)
 }
 
+// CheckStacked reports an error unless des is a stacked design (>= 2 dies):
+// the flow's die-count precondition, shared by RunContext and the public
+// flow constructor so that a one-die request is rejected before any run.
+func CheckStacked(des *netlist.Design) error {
+	if des.Dies < 2 {
+		return fmt.Errorf("core: the flow needs a stacked design (>= 2 dies), got %d", des.Dies)
+	}
+	return nil
+}
+
 // RunContext is Run with cooperative cancellation: ctx is polled between
 // annealing moves, thermal-solver sweeps, and activity samples, and the flow
 // returns ctx.Err() promptly once it is done. A cancelled run returns no
@@ -35,8 +45,8 @@ func RunContext(ctx context.Context, des *netlist.Design, cfg Config) (*Result, 
 	if err := des.Validate(); err != nil {
 		return nil, fmt.Errorf("core: invalid design: %w", err)
 	}
-	if des.Dies < 2 {
-		return nil, fmt.Errorf("core: the flow needs a stacked design (>= 2 dies), got %d", des.Dies)
+	if err := CheckStacked(des); err != nil {
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err

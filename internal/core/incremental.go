@@ -54,8 +54,14 @@ import (
 type incrState struct {
 	lay *floorplan.Layout
 
-	// modNets[m] lists the nets with a pin on module m.
-	modNets [][]int
+	// The design's constant facts, built on the first evaluation. graph
+	// is the design flattened for STA: its module-pin table drives the net
+	// refresh and its arcs both per-move STA passes. netShape holds each
+	// net's degree and terminal box; modNets[m] lists the nets with a pin
+	// on module m.
+	graph    *timing.Graph
+	netShape []netShape
+	modNets  [][]int
 
 	netLen   []float64 // per-net HPWL in um, without the vertical detour
 	netCross []bool    // whether the net spans dies
@@ -437,7 +443,7 @@ func (e *evaluator) incrementalCost() float64 {
 	t.wl = wl
 
 	if refreshed := e.refreshVoltage(ic.lay, func() *timing.Analysis {
-		ic.staRef = timing.AnalyzeFromNetDelaysInto(ic.lay.Design, ic.netDelay, nil, ic.staRef)
+		ic.staRef = ic.graph.AnalyzeInto(ic.netDelay, nil, ic.staRef)
 		return ic.staRef
 	}); refreshed {
 		ic.mapsValid = false
@@ -445,7 +451,7 @@ func (e *evaluator) incrementalCost() float64 {
 			ic.journal.refreshed = true
 		}
 	}
-	ic.staScaled = timing.AnalyzeFromNetDelaysInto(ic.lay.Design, ic.netDelay, e.delayScale, ic.staScaled)
+	ic.staScaled = ic.graph.AnalyzeInto(ic.netDelay, e.delayScale, ic.staScaled)
 	t.delay = ic.staScaled.Critical
 	t.power = e.scaledPower
 	t.volumes = float64(e.nVolumes)
@@ -532,25 +538,31 @@ func (e *evaluator) crossCheck(got float64) {
 	}
 }
 
-// initGeometry builds the layout and per-net caches from scratch. The power
-// maps are built by updateMaps once the voltage scales are known.
+// initGeometry builds the layout and per-net caches from scratch, and the
+// design's constant tables on the first call. The power maps are built by
+// updateMaps once the voltage scales are known.
 func (ic *incrState) initGeometry(e *evaluator) {
 	ic.lay = e.fp.Pack()
 	des := ic.lay.Design
 	nMods, nNets := len(des.Modules), len(des.Nets)
 
-	ic.modNets = make([][]int, nMods)
-	for ni, n := range des.Nets {
-		for _, m := range n.Modules {
-			ic.modNets[m] = append(ic.modNets[m], ni)
+	if ic.graph == nil {
+		ic.graph = timing.NewGraph(des)
+		ic.netShape = make([]netShape, nNets)
+		ic.modNets = make([][]int, nMods)
+		for ni, n := range des.Nets {
+			ic.netShape[ni] = newNetShape(des, n)
+			for _, m := range n.Modules {
+				ic.modNets[m] = append(ic.modNets[m], ni)
+			}
 		}
 	}
 	ic.netLen = make([]float64, nNets)
 	ic.netCross = make([]bool, nNets)
 	ic.netWL = make([]float64, nNets)
 	ic.netDelay = make([]float64, nNets)
-	for ni, n := range des.Nets {
-		ic.refreshNet(ni, n, e.cfg.TimingParams)
+	for ni := range des.Nets {
+		ic.refreshNet(ni, e.cfg.TimingParams)
 	}
 	ic.maps = make([]*geom.Grid, ic.lay.Dies)
 	ic.resp = make([][]*geom.Grid, ic.lay.Dies)
@@ -602,11 +614,41 @@ func (ic *incrState) scaledPowers(e *evaluator) []float64 {
 	return p
 }
 
+// netShape holds the constant facts of one net that refreshNet would
+// otherwise re-derive from the *netlist.Net on every evaluation.
+type netShape struct {
+	degree int // module plus terminal pins
+	// The terminals' bounding box, folded with math.Min/math.Max from
+	// +Inf/-Inf exactly as Layout.NetHPWL folds them (so a net without
+	// terminals keeps the infinities).
+	minX, minY, maxX, maxY float64
+}
+
+func newNetShape(des *netlist.Design, n *netlist.Net) netShape {
+	s := netShape{
+		degree: n.Degree(),
+		minX:   math.Inf(1), minY: math.Inf(1),
+		maxX: math.Inf(-1), maxY: math.Inf(-1),
+	}
+	for _, ti := range n.Terminals {
+		t := des.Terminals[ti]
+		s.minX = math.Min(s.minX, t.X)
+		s.minY = math.Min(s.minY, t.Y)
+		s.maxX = math.Max(s.maxX, t.X)
+		s.maxY = math.Max(s.maxY, t.Y)
+	}
+	return s
+}
+
 // refreshNet recomputes one net's cached geometry and delay from the current
-// layout. The values are recomputed exactly as the full path would, so
-// unchanged nets keep bit-identical cached values.
-func (ic *incrState) refreshNet(ni int, n *netlist.Net, p *timing.Params) {
-	if n.Degree() < 2 {
+// layout in one pass over its module pins, starting from its constant
+// terminal box. The floats equal Layout.NetHPWL and timing.NetElmore bit for
+// bit: min and max fold commutatively under math.Min/math.Max (±0
+// included), so visiting the terminals first changes nothing, and unchanged
+// nets keep bit-identical cached values.
+func (ic *incrState) refreshNet(ni int, p *timing.Params) {
+	sh := &ic.netShape[ni]
+	if sh.degree < 2 {
 		// Degenerate nets (single-pin, empty) carry no wire: WL and delay
 		// are zero in both evaluators, matching the layout's HPWL (a
 		// one-point bounding box) and the guarded ElmoreDelay, and the STA
@@ -614,16 +656,25 @@ func (ic *incrState) refreshNet(ni int, n *netlist.Net, p *timing.Params) {
 		ic.netLen[ni], ic.netCross[ni], ic.netWL[ni], ic.netDelay[ni] = 0, false, 0, 0
 		return
 	}
-	ln := ic.lay.NetHPWL(n, 0)
+	minX, minY, maxX, maxY := sh.minX, sh.minY, sh.maxX, sh.maxY
+	rects, dieOf := ic.lay.Rects, ic.lay.DieOf
 	cross := false
 	die0 := -1
-	for _, mi := range n.Modules {
-		if die0 == -1 {
-			die0 = ic.lay.DieOf[mi]
-		} else if ic.lay.DieOf[mi] != die0 {
+	for _, m := range ic.graph.NetPins(ni) {
+		c := rects[m].Center()
+		minX = math.Min(minX, c.X)
+		minY = math.Min(minY, c.Y)
+		maxX = math.Max(maxX, c.X)
+		maxY = math.Max(maxY, c.Y)
+		if d := dieOf[m]; die0 == -1 {
+			die0 = d
+		} else if d != die0 {
 			cross = true
-			break
 		}
+	}
+	ln := 0.0
+	if !math.IsInf(minX, 1) {
+		ln = (maxX - minX) + (maxY - minY)
 	}
 	wl := ln
 	if cross {
@@ -632,7 +683,7 @@ func (ic *incrState) refreshNet(ni int, n *netlist.Net, p *timing.Params) {
 	ic.netLen[ni] = ln
 	ic.netCross[ni] = cross
 	ic.netWL[ni] = wl
-	ic.netDelay[ni] = timing.ElmoreDelay(ln, cross, n.Degree(), *p)
+	ic.netDelay[ni] = timing.ElmoreDelay(ln, cross, sh.degree, *p)
 }
 
 // applyMove repacks the dies the pending move touched through the
@@ -703,7 +754,7 @@ func (ic *incrState) applyMove(e *evaluator) {
 			j.netCross = append(j.netCross, ic.netCross[ni])
 			j.netWL = append(j.netWL, ic.netWL[ni])
 			j.netDelay = append(j.netDelay, ic.netDelay[ni])
-			ic.refreshNet(ni, ic.lay.Design.Nets[ni], e.cfg.TimingParams)
+			ic.refreshNet(ni, e.cfg.TimingParams)
 			recomputed++
 		}
 	}

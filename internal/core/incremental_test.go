@@ -485,3 +485,60 @@ func TestDegenerateNetsAgreeAcrossEvaluators(t *testing.T) {
 		}
 	}
 }
+
+// naiveNetRefresh is the bit-identity reference for refreshNet: HPWL
+// through Layout.NetHPWL, the cross-die flag from a walk over the
+// *netlist.Net, the degree from Net.Degree.
+func naiveNetRefresh(l *floorplan.Layout, n *netlist.Net, p timing.Params) (ln float64, cross bool, wl, delay float64) {
+	if n.Degree() < 2 {
+		return 0, false, 0, 0
+	}
+	ln = l.NetHPWL(n, 0)
+	die0 := -1
+	for _, mi := range n.Modules {
+		if die0 == -1 {
+			die0 = l.DieOf[mi]
+		} else if l.DieOf[mi] != die0 {
+			cross = true
+			break
+		}
+	}
+	wl = ln
+	if cross {
+		wl = ln + p.VertLen
+	}
+	return ln, cross, wl, timing.ElmoreDelay(ln, cross, n.Degree(), p)
+}
+
+// TestRefreshNetMatchesNaive pins the incremental evaluator's cached net
+// geometry to the reference refresh with == after every evaluation of a
+// journaled run: on n100, and on a hand-built stack that adds a
+// terminal-only net and duplicate pins to the degenerate shapes. Both runs
+// must see cross-die nets.
+func TestRefreshNetMatchesNaive(t *testing.T) {
+	des := degenerateNetDesign()
+	des.Terminals = append(des.Terminals, &netlist.Terminal{Name: "p1", X: 400, Y: 30})
+	des.Nets = append(des.Nets,
+		&netlist.Net{Name: "terms-only", Terminals: []int{0, 1}},
+		&netlist.Net{Name: "dup", Modules: []int{5, 1, 5}, Terminals: []int{1}})
+	for _, ev := range []*evaluator{buildEval(des, TSCAware, true, 3), makeEval(t, PowerAware, true, 4)} {
+		nets := ev.fp.Design.Nets
+		p := *ev.cfg.TimingParams
+		crossSeen := false
+		journaledRun(ev, 300, 31, 32, func() {
+			ic := ev.incr
+			for ni, n := range nets {
+				ln, cross, wl, delay := naiveNetRefresh(ic.lay, n, p)
+				if ic.netLen[ni] != ln || ic.netCross[ni] != cross || ic.netWL[ni] != wl || ic.netDelay[ni] != delay {
+					t.Fatalf("%s net %q: cached len/cross/wl/delay %v/%v/%v/%v, reference %v/%v/%v/%v",
+						ev.fp.Design.Name, n.Name, ic.netLen[ni], ic.netCross[ni], ic.netWL[ni], ic.netDelay[ni],
+						ln, cross, wl, delay)
+				}
+				crossSeen = crossSeen || cross
+			}
+		})
+		if !crossSeen {
+			t.Fatalf("%s: no cross-die net in the run", ev.fp.Design.Name)
+		}
+	}
+}

@@ -651,24 +651,17 @@ func (s *skyline) end(i int) float64 {
 	return s.width
 }
 
-// spanHeight returns the max height over [x, x+w). The first relevant step
-// is located by binary search over the ascending step starts, so a span
-// query costs O(log k + steps covered) instead of a full scan.
-func (s *skyline) spanHeight(x, w float64) float64 {
+// spanFrom returns the max height over [xs[i], x1): the steps start
+// strictly ascending, so the span's first step is i itself and the scan
+// stops at the first step starting at or past x1.
+func (s *skyline) spanFrom(i int, x1 float64) float64 {
 	h := 0.0
-	i := sort.SearchFloat64s(s.xs, x)
-	if i > 0 && s.end(i-1) > x {
-		i--
-	}
-	for ; i < len(s.xs); i++ {
-		if s.end(i) <= x {
-			continue
-		}
-		if s.xs[i] >= x+w {
+	for j, x := range s.xs[i:] {
+		if x >= x1 {
 			break
 		}
-		if s.ys[i] > h {
-			h = s.ys[i]
+		if y := s.ys[i+j]; y > h {
+			h = y
 		}
 	}
 	return h
@@ -677,25 +670,26 @@ func (s *skyline) spanHeight(x, w float64) float64 {
 // place finds a corner for a w x h module per the direction preference,
 // commits it to the skyline, and returns the lower-left position.
 //
-// The scan keeps the running best in locals and replaces it only with a
-// strictly better corner, so it picks what a candidate list would have
-// picked without allocating one.
+// The candidate corners are the step starts. The scan keeps the running
+// best in locals and replaces it only with a strictly better corner, so it
+// picks what a candidate list would have picked without allocating one; it
+// stops at the first corner whose span overruns the outline, since every
+// later corner starts further right.
 func (s *skyline) place(w, h float64, dir InsertDir) (float64, float64) {
 	var bx, by float64
 	found := false
-	for i := range s.xs {
-		x := s.xs[i]
+	for i, x := range s.xs {
 		if x+w > s.width+1e-9 {
-			continue
+			break
 		}
-		y := s.spanHeight(x, w)
+		y := s.spanFrom(i, x+w)
 		if !found || better(x, y, bx, by, dir) {
 			bx, by, found = x, y, true
 		}
 	}
 	if !found {
-		// Module wider than the outline or no fitting corner: clamp left.
-		bx, by = 0, s.spanHeight(0, math.Min(w, s.width))
+		// Module wider than the outline: clamp left.
+		bx, by = 0, s.spanFrom(0, math.Min(w, s.width))
 	}
 	s.commit(bx, w, by+h)
 	return bx, by

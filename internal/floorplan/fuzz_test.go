@@ -169,3 +169,31 @@ func FuzzPackDieFrom(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSkylinePlace checks that the search-free corner scan picks the same
+// corner, bit for bit, as the binary-search reference (refCorner) on random
+// skylines and footprints. The seed draws the starting skyline (up to 64
+// steps) and a run of follow-up placements, so the skylines that commit
+// grows are compared too; width and w steer the first footprint, which may
+// be wider than the strip (the clamp path).
+func FuzzSkylinePlace(f *testing.F) {
+	f.Add(int64(1), uint8(5), 100.0, 10.0, false)
+	f.Add(int64(2), uint8(1), 50.0, 50.0, true)    // one step, full-width span
+	f.Add(int64(3), uint8(40), 80.0, 120.0, false) // wider than the strip
+	f.Add(int64(4), uint8(63), 200.0, 0.5, true)   // many steps, narrow module
+	f.Fuzz(func(t *testing.T, seed int64, steps uint8, width, w float64, lowest bool) {
+		if !(width >= 1 && width <= 1e6) || !(w > 0 && w <= 2*width) {
+			t.Skip()
+		}
+		rng := rand.New(rand.NewSource(seed))
+		s := randomSkyline(rng, width, 1+int(steps%64))
+		dir := LeftmostFirst
+		if lowest {
+			dir = LowestFirst
+		}
+		checkPlaceMatchesRef(t, s, w, 1+rng.Float64()*width/4, dir)
+		for i := 0; i < 16; i++ {
+			checkPlaceMatchesRef(t, s, 1e-3+rng.Float64()*width*1.2, 1+rng.Float64()*width/4, InsertDir(rng.Intn(2)))
+		}
+	})
+}

@@ -3,6 +3,8 @@ package floorplan
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -199,5 +201,104 @@ func TestSkylinePlaceAllocationFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("skyline placement allocated %v times per %d-module pass, want 0", allocs, len(mods))
+	}
+}
+
+// refSpanHeight is the reference span query for the corner scan: the max
+// height over [x, x+w), its first step found by binary search.
+func refSpanHeight(s *skyline, x, w float64) float64 {
+	h := 0.0
+	i := sort.SearchFloat64s(s.xs, x)
+	if i > 0 && s.end(i-1) > x {
+		i--
+	}
+	for ; i < len(s.xs); i++ {
+		if s.end(i) <= x {
+			continue
+		}
+		if s.xs[i] >= x+w {
+			break
+		}
+		if s.ys[i] > h {
+			h = s.ys[i]
+		}
+	}
+	return h
+}
+
+// refCorner is the reference corner choice: every step start that fits,
+// scored by refSpanHeight, and the clamp-left fallback for a module wider
+// than the strip. It does not commit.
+func refCorner(s *skyline, w float64, dir InsertDir) (float64, float64) {
+	var bx, by float64
+	found := false
+	for i := range s.xs {
+		x := s.xs[i]
+		if x+w > s.width+1e-9 {
+			continue
+		}
+		y := refSpanHeight(s, x, w)
+		if !found || better(x, y, bx, by, dir) {
+			bx, by, found = x, y, true
+		}
+	}
+	if !found {
+		bx, by = 0, refSpanHeight(s, 0, math.Min(w, s.width))
+	}
+	return bx, by
+}
+
+// randomSkyline draws a skyline in the packer's invariant form: xs[0] == 0,
+// step starts strictly ascending and inside the strip, heights from a few
+// levels so that corners tie.
+func randomSkyline(rng *rand.Rand, width float64, steps int) *skyline {
+	s := newSkyline(width)
+	for k := 1; k < steps; k++ {
+		if x := rng.Float64() * width; x > 0 && x < width {
+			s.xs = append(s.xs, x)
+		}
+	}
+	sort.Float64s(s.xs)
+	s.xs = slices.Compact(s.xs)
+	s.ys = s.ys[:0]
+	for range s.xs {
+		s.ys = append(s.ys, float64(rng.Intn(4))*width/8)
+	}
+	return s
+}
+
+// checkPlaceMatchesRef places one w x h module and requires the same corner,
+// compared with ==, as the reference choice on the same skyline.
+func checkPlaceMatchesRef(t *testing.T, s *skyline, w, h float64, dir InsertDir) {
+	t.Helper()
+	wx, wy := refCorner(s, w, dir)
+	if x, y := s.place(w, h, dir); x != wx || y != wy {
+		t.Fatalf("w=%v dir=%v on skyline %v/%v: placed at (%v, %v), reference (%v, %v)",
+			w, dir, s.xs, s.ys, x, y, wx, wy)
+	}
+}
+
+// TestSkylinePlaceMatchesReference pins the search-free corner scan to the
+// binary-search reference on random step sets and on the skylines real
+// placement sequences grow, including modules wider than the strip (the
+// clamp path).
+func TestSkylinePlaceMatchesReference(t *testing.T) {
+	// A span that overruns the strip by less than the 1e-9 tolerance still
+	// fits: the low right-hand corner must win over the high left one.
+	edge := newSkyline(100)
+	edge.xs, edge.ys = []float64{0, 50}, []float64{10, 0}
+	checkPlaceMatchesRef(t, edge, 50+5e-10, 1, LowestFirst)
+
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 2000; trial++ {
+		width := 10 + rng.Float64()*200
+		s := randomSkyline(rng, width, 1+rng.Intn(20))
+		for step := 0; step < 8; step++ {
+			w := 1e-3 + rng.Float64()*width*1.3 // about one in four is wider than the strip
+			if n := len(s.xs); n > 1 && rng.Intn(8) == 0 {
+				w = s.xs[1+rng.Intn(n-1)] // from x = 0 the span ends exactly on a step start
+			}
+			checkPlaceMatchesRef(t, s, w, 1+rng.Float64()*width/4, InsertDir(rng.Intn(2)))
+		}
 	}
 }

@@ -497,6 +497,10 @@ func TestQueueBoundsAndValidation(t *testing.T) {
 		"unknown field":        `{"benchmark": "n100", "bogus": 1}`,
 		"retired speculation":  `{"benchmark": "n100", "options": {"speculation": 2}}`,
 		"truncated":            `{"benchmark": "n1`,
+		"one die": `{"design": {"name": "x", "dies": 1, "outline_w_um": 100, "outline_h_um": 100,
+			"modules": [{"name": "a", "kind": "hard", "w_um": 5, "h_um": 5, "power_w": 1},
+				{"name": "b", "kind": "hard", "w_um": 5, "h_um": 5, "power_w": 1}],
+			"nets": [{"name": "n", "modules": [0, 1]}]}}`,
 		"zero modules": `{"design": {"name": "x", "dies": 2, "outline_w_um": 100, "outline_h_um": 100,
 			"modules": [], "nets": []}}`,
 		"module larger than the outline": `{"design": {"name": "x", "dies": 2, "outline_w_um": 10, "outline_h_um": 10,

@@ -283,32 +283,55 @@ func blurInto(out, tmp, g *geom.Grid, kernel []float64, workers int) {
 	par.For(workers, ny, func(jlo, jhi int) { blurCols(out, tmp, kernel, jlo, jhi) })
 }
 
-// blurRows is the horizontal pass over rows [jlo, jhi).
+// blurRows is the horizontal pass over rows [jlo, jhi). Each row is first
+// copied into a buffer padded by its reflection, r cells at each end, so
+// that every cell is a plain dot product over pad[i : i+2r+1] and only the
+// 2r padding cells call reflect. (At the default grid the kernel radius is
+// 11 to 19 cells on a 32-cell row, so most cells have a tap past an edge.)
+// Every cell sums its taps in the order k = -r..r.
 func blurRows(dst, src *geom.Grid, kernel []float64, jlo, jhi int) {
 	nx, radius := src.NX, len(kernel)/2
+	n := nx + 2*radius
+	var stack [512]float64 // holds the padded row of any grid up to ~400 cells wide
+	pad := stack[:]
+	if n > len(pad) {
+		pad = make([]float64, n)
+	}
+	pad = pad[:n]
 	for j := jlo; j < jhi; j++ {
-		for i := 0; i < nx; i++ {
+		row := src.Data[j*nx : (j+1)*nx]
+		for p := 0; p < radius; p++ {
+			pad[p] = row[reflect(p-radius, nx)]
+			pad[radius+nx+p] = row[reflect(nx+p, nx)]
+		}
+		copy(pad[radius:], row)
+		out := dst.Data[j*nx : (j+1)*nx]
+		for i := range out {
+			win := pad[i : i+len(kernel)]
 			acc := 0.0
-			for k := -radius; k <= radius; k++ {
-				ii := reflect(i+k, nx)
-				acc += kernel[k+radius] * src.At(ii, j)
+			for k, kv := range kernel {
+				acc += kv * win[k]
 			}
-			dst.Set(i, j, acc)
+			out[i] = acc
 		}
 	}
 }
 
-// blurCols is the vertical pass over output rows [jlo, jhi).
+// blurCols is the vertical pass over output rows [jlo, jhi): each output
+// row accumulates whole (reflected) source rows scaled by their tap, in the
+// order k = -r..r, so every cell sums the same products in the same order
+// as a per-cell loop would.
 func blurCols(dst, src *geom.Grid, kernel []float64, jlo, jhi int) {
 	nx, ny, radius := src.NX, src.NY, len(kernel)/2
 	for j := jlo; j < jhi; j++ {
-		for i := 0; i < nx; i++ {
-			acc := 0.0
-			for k := -radius; k <= radius; k++ {
-				jj := reflect(j+k, ny)
-				acc += kernel[k+radius] * src.At(i, jj)
+		out := dst.Data[j*nx : (j+1)*nx]
+		clear(out)
+		for k, kv := range kernel {
+			jj := reflect(j+k-radius, ny)
+			row := src.Data[jj*nx : (jj+1)*nx]
+			for i, v := range row {
+				out[i] += kv * v
 			}
-			dst.Set(i, j, acc)
 		}
 	}
 }

@@ -16,6 +16,7 @@ package timing
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/floorplan"
 	"repro/internal/netlist"
@@ -76,26 +77,106 @@ func Analyze(l *floorplan.Layout, delayScale []float64, p Params) *Analysis {
 	return AnalyzeFromNetDelaysInto(l.Design, netDelay, delayScale, &Analysis{NetDelay: netDelay})
 }
 
-// AnalyzeFromNetDelays runs the STA pass over precomputed per-net Elmore
-// delays (in ns), bypassing the geometric estimation. Given the delays
-// Analyze would compute, it returns an identical Analysis — this is the
-// entry point for the incremental cost evaluator, which keeps the per-net
-// delays cached across annealing moves and recomputes only the nets touched
-// by a move. netDelay is copied, not retained.
-func AnalyzeFromNetDelays(des *netlist.Design, netDelay []float64, delayScale []float64) *Analysis {
-	return AnalyzeFromNetDelaysInto(des, netDelay, delayScale, nil)
+// AnalyzeFromNetDelaysInto runs the STA pass over precomputed per-net
+// Elmore delays (in ns), bypassing the geometric estimation: given the
+// delays Analyze would compute, it returns an identical Analysis. It reuses
+// the slices of a previous Analysis (nil allocates a fresh one) and copies
+// netDelay, never retaining it. It flattens the design into a Graph for
+// this one pass; a caller that runs many passes over one design (the
+// incremental cost evaluator runs one to two per annealing move) builds the
+// Graph once and calls Graph.AnalyzeInto instead.
+func AnalyzeFromNetDelaysInto(des *netlist.Design, netDelay []float64, delayScale []float64, into *Analysis) *Analysis {
+	return NewGraph(des).AnalyzeInto(netDelay, delayScale, into)
 }
 
-// AnalyzeFromNetDelaysInto is AnalyzeFromNetDelays reusing the slices of a
-// previous Analysis (nil allocates a fresh one) — the annealing loop runs
-// one to two STA passes per move, so the buffers are worth recycling. The
-// returned Analysis is `into` when provided; its previous contents are
+// Graph is a design flattened for repeated STA passes: the modules'
+// intrinsic delays, each net's module pins in one flat table, and each
+// net's timing arcs. Nets are oriented from their lowest-index module pin
+// to the others (the conventional driver heuristic for direction-less
+// benchmarks), so the driver and sinks are constant facts of the design
+// and are derived once here instead of on every pass. A Graph is read-only
+// after NewGraph and does not retain the design.
+type Graph struct {
+	intrinsic []float64 // per-module intrinsic delay, ns
+
+	// Net ni's module pins, in pin order and with any duplicates, are
+	// pins[pinStart[ni]:pinStart[ni+1]].
+	pinStart []int32
+	pins     []int32
+
+	// One arc group per net with a driver and at least one sink, in net
+	// order: net arcNet[k] is driven by arcDrv[k] and feeds
+	// sinks[sinkStart[k]:sinkStart[k+1]] (every pin but the driver's, in
+	// pin order). Listing only these nets, with the driver's own pins
+	// dropped, keeps the per-move pass to the arcs themselves.
+	arcNet    []int32
+	arcDrv    []int32
+	sinkStart []int32
+	sinks     []int32
+}
+
+// NewGraph flattens des for STA.
+func NewGraph(des *netlist.Design) *Graph {
+	nPins, nArcs := 0, 0
+	for _, n := range des.Nets {
+		nPins += len(n.Modules)
+		if len(n.Modules) >= 2 {
+			nArcs++
+		}
+	}
+	g := &Graph{
+		intrinsic: make([]float64, len(des.Modules)),
+		pinStart:  make([]int32, len(des.Nets)+1),
+		pins:      make([]int32, 0, nPins),
+		arcNet:    make([]int32, 0, nArcs),
+		arcDrv:    make([]int32, 0, nArcs),
+		sinkStart: make([]int32, 1, nArcs+1),
+		sinks:     make([]int32, 0, nPins),
+	}
+	for m, mod := range des.Modules {
+		g.intrinsic[m] = mod.IntrinsicDelay
+	}
+	for ni, n := range des.Nets {
+		for _, m := range n.Modules {
+			g.pins = append(g.pins, int32(m))
+		}
+		g.pinStart[ni+1] = int32(len(g.pins))
+		if len(n.Modules) < 2 {
+			continue
+		}
+		drv := slices.Min(n.Modules)
+		first := len(g.sinks)
+		for _, m := range n.Modules {
+			if m != drv {
+				g.sinks = append(g.sinks, int32(m))
+			}
+		}
+		if len(g.sinks) == first {
+			continue // every pin is the driver's: no arc
+		}
+		g.arcNet = append(g.arcNet, int32(ni))
+		g.arcDrv = append(g.arcDrv, int32(drv))
+		g.sinkStart = append(g.sinkStart, int32(len(g.sinks)))
+	}
+	return g
+}
+
+// NetPins returns net ni's module pins in pin order. The slice aliases the
+// graph's table and must not be modified.
+func (g *Graph) NetPins(ni int) []int32 {
+	return g.pins[g.pinStart[ni]:g.pinStart[ni+1]]
+}
+
+// AnalyzeInto runs the single-hop STA pass over per-net Elmore delays (in
+// ns, indexed like the design's nets). delayScale[m] multiplies module m's
+// intrinsic delay (nil = all 1.0). It reuses the slices of `into` (nil
+// allocates a fresh Analysis) and returns it; its previous contents are
 // overwritten. netDelay is copied into the Analysis, never aliased: the
 // incremental cost evaluator patches its cached per-net delays in place on
 // every annealing move, and an Analysis retained past the call (a report, a
 // snapshot in a Result) must not drift with those patches.
-func AnalyzeFromNetDelaysInto(des *netlist.Design, netDelay []float64, delayScale []float64, into *Analysis) *Analysis {
-	nMod := len(des.Modules)
+func (g *Graph) AnalyzeInto(netDelay []float64, delayScale []float64, into *Analysis) *Analysis {
+	nMod := len(g.intrinsic)
 	a := into
 	if a == nil {
 		a = &Analysis{}
@@ -109,37 +190,29 @@ func AnalyzeFromNetDelaysInto(des *netlist.Design, netDelay []float64, delayScal
 	a.Depart = resizeZeroed(a.Depart, nMod)
 	a.ModuleDelay = resizeZeroed(a.ModuleDelay, nMod)
 	a.Critical = 0
-	for m, mod := range des.Modules {
-		s := 1.0
-		if delayScale != nil {
-			s = delayScale[m]
+	md := a.ModuleDelay
+	if delayScale == nil {
+		copy(md, g.intrinsic)
+	} else {
+		for m, d := range g.intrinsic {
+			md[m] = d * delayScale[m]
 		}
-		a.ModuleDelay[m] = mod.IntrinsicDelay * s
 	}
-	// Orient each net from its lowest-index module pin to the others (the
-	// conventional driver heuristic for direction-less benchmarks).
-	for ni, n := range des.Nets {
-		if len(n.Modules) < 2 {
-			continue
-		}
-		drv := n.Modules[0]
-		for _, m := range n.Modules[1:] {
-			if m < drv {
-				drv = m
-			}
-		}
+	arrive, depart := a.Arrive, a.Depart
+	for k, ni := range g.arcNet {
+		drv := g.arcDrv[k]
 		nd := a.NetDelay[ni]
-		for _, m := range n.Modules {
-			if m == drv {
-				continue
+		in := md[drv] + nd
+		dep := depart[drv]
+		for _, m := range g.sinks[g.sinkStart[k]:g.sinkStart[k+1]] {
+			if in > arrive[m] {
+				arrive[m] = in
 			}
-			if in := a.ModuleDelay[drv] + nd; in > a.Arrive[m] {
-				a.Arrive[m] = in
-			}
-			if out := nd + a.ModuleDelay[m]; out > a.Depart[drv] {
-				a.Depart[drv] = out
+			if out := nd + md[m]; out > dep {
+				dep = out
 			}
 		}
+		depart[drv] = dep
 	}
 	for m := 0; m < nMod; m++ {
 		if th := a.PathThrough(m); th > a.Critical {

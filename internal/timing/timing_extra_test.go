@@ -105,7 +105,7 @@ func TestTerminalOnlyNetsIgnoredBySTA(t *testing.T) {
 }
 
 // TestAnalysisDoesNotAliasNetDelay is the regression test for the aliasing
-// bug: AnalyzeFromNetDelaysInto used to store the caller's netDelay slice
+// bug: the STA pass over cached net delays used to store the caller's netDelay slice
 // directly, so an Analysis retained past the call (a report, a Result
 // snapshot) silently drifted when the incremental evaluator patched its
 // cached delays on the next move. All entry points must copy.
@@ -116,9 +116,9 @@ func TestAnalysisDoesNotAliasNetDelay(t *testing.T) {
 		name string
 		a    *Analysis
 	}{
-		{"AnalyzeFromNetDelays", AnalyzeFromNetDelays(des, src, nil)},
 		{"AnalyzeFromNetDelaysInto-nil", AnalyzeFromNetDelaysInto(des, src, nil, nil)},
 		{"AnalyzeFromNetDelaysInto-reused", AnalyzeFromNetDelaysInto(des, src, nil, &Analysis{})},
+		{"Graph.AnalyzeInto-reused", NewGraph(des).AnalyzeInto(src, nil, &Analysis{})},
 	} {
 		critBefore := tc.a.Critical
 		nd := append([]float64(nil), tc.a.NetDelay...)
@@ -149,7 +149,7 @@ func TestAnalyzeIntoReuseMatchesFresh(t *testing.T) {
 	if got != pooled {
 		t.Fatal("the pooled Analysis was not reused")
 	}
-	want := AnalyzeFromNetDelays(des, nd, scale)
+	want := AnalyzeFromNetDelaysInto(des, nd, scale, nil)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("reused analysis %+v != fresh %+v", got, want)
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 )
@@ -191,6 +192,15 @@ func TestOptionValidation(t *testing.T) {
 	}
 	if _, err := NewFlow(nil); err == nil {
 		t.Fatal("nil design accepted")
+	}
+	flat := *MustBenchmark("n100").Netlist()
+	flat.Dies = 1
+	oneDie, err := NewDesign(&flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewFlow(oneDie); err == nil || !strings.Contains(err.Error(), ">= 2 dies") {
+		t.Fatalf("one-die design: NewFlow error = %v, want the stacked-design precondition", err)
 	}
 	if _, err := Benchmark("nope"); err == nil {
 		t.Fatal("unknown benchmark accepted")

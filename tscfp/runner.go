@@ -32,6 +32,9 @@ func NewFlow(design *Design, opts ...Option) (*Flow, error) {
 	if design == nil || design.d == nil {
 		return nil, fmt.Errorf("tscfp: nil design")
 	}
+	if err := core.CheckStacked(design.d); err != nil {
+		return nil, err
+	}
 	s := settings{mode: TSCAware}
 	for _, opt := range opts {
 		opt(&s)
